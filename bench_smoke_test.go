@@ -36,6 +36,7 @@ func TestBenchScriptEmitsJSON(t *testing.T) {
 		GoVersion       string  `json:"go_version"`
 		FastpathSpeedup float64 `json:"fastpath_speedup"`
 		ShardedSpeedup  float64 `json:"sharded_speedup"`
+		AnalysisSpeedup float64 `json:"analysis_speedup"`
 		Benchmarks      []struct {
 			Name    string             `json:"name"`
 			NsPerOp float64            `json:"ns_per_op"`
@@ -48,21 +49,34 @@ func TestBenchScriptEmitsJSON(t *testing.T) {
 	if f.PR == "" || f.GoVersion == "" {
 		t.Errorf("missing provenance fields: pr=%q go_version=%q", f.PR, f.GoVersion)
 	}
-	if len(f.Benchmarks) < 2 {
-		t.Fatalf("expected at least fast-path + reference benchmarks, got %d", len(f.Benchmarks))
+	if len(f.Benchmarks) < 3 {
+		t.Fatalf("expected at least fast-path, reference and analysis benchmarks, got %d", len(f.Benchmarks))
 	}
+	analysis := false
 	for _, b := range f.Benchmarks {
 		if b.NsPerOp <= 0 {
 			t.Errorf("benchmark %q has non-positive ns/op", b.Name)
 		}
+		if b.Name == "AnalysisPipeline" {
+			// The offline analysis reports time only; the analysis gate
+			// compares its ns/op.
+			analysis = true
+			continue
+		}
 		if b.Metrics["instrs/s"] <= 0 {
 			t.Errorf("benchmark %q is missing the instrs/s metric", b.Name)
 		}
+	}
+	if !analysis {
+		t.Error("the quick run lacks AnalysisPipeline, so the gate cannot watch the analysis layer")
 	}
 	if f.FastpathSpeedup <= 0 {
 		t.Errorf("fastpath_speedup not derived (got %v)", f.FastpathSpeedup)
 	}
 	if f.ShardedSpeedup <= 0 {
 		t.Errorf("sharded_speedup not derived (got %v)", f.ShardedSpeedup)
+	}
+	if f.AnalysisSpeedup <= 0 {
+		t.Errorf("analysis_speedup not recorded by the gate (got %v)", f.AnalysisSpeedup)
 	}
 }

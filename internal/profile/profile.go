@@ -132,7 +132,8 @@ type LabeledSet struct {
 	PosTotal uint64
 	NegTotal uint64
 	// Pos / Neg are bounded reservoirs of LBR block-ID sets observed at the
-	// site execution (the context evidence).
+	// site execution (the context evidence). A snapshot is shared by every
+	// set of its site execution and must not be modified.
 	Pos [][]int32
 	Neg [][]int32
 }
@@ -160,10 +161,18 @@ func (c *ContextProfile) Get(site int32, target cfg.LineKey) *LabeledSet {
 
 // pending is one not-yet-expired site execution awaiting its label.
 type pending struct {
-	site     int32
+	site     *siteSets
 	cycle    uint64
 	snapshot []int32
-	hits     map[cfg.LineKey]bool
+	hits     map[cfg.LineKey]bool // nil until a target misses
+}
+
+// siteSets is one instrumented site: its target lines and, index-aligned,
+// their labeled sets.
+type siteSets struct {
+	site  int32
+	lines []cfg.LineKey
+	sets  []*LabeledSet
 }
 
 // CollectContexts runs the labeling pass: for every execution of an
@@ -177,19 +186,27 @@ func CollectContexts(w *workload.Workload, in workload.Input, scfg sim.Config, s
 		Sets:     make(map[siteTarget]*LabeledSet),
 		SiteExec: make(map[int32]uint64),
 	}
-	siteTargets := make(map[int32][]cfg.LineKey, len(sites))
 	for _, t := range sites {
-		siteTargets[t.Site] = t.Lines
 		for _, ln := range t.Lines {
 			cp.Sets[siteTarget{t.Site, ln}] = &LabeledSet{}
 		}
+	}
+	// A second pass, so that a pair listed twice resolves to the one set
+	// cp.Sets keeps.
+	instrumented := make(map[int32]*siteSets, len(sites))
+	for _, t := range sites {
+		ss := &siteSets{site: t.Site, lines: t.Lines, sets: make([]*LabeledSet, len(t.Lines))}
+		for i, ln := range t.Lines {
+			ss.sets[i] = cp.Sets[siteTarget{t.Site, ln}]
+		}
+		instrumented[t.Site] = ss
 	}
 	r := rng.New(w.Params.Seed ^ 0x51caffe)
 
 	var queue []pending
 	finalize := func(p *pending) {
-		for _, target := range siteTargets[p.site] {
-			ls := cp.Sets[siteTarget{p.site, target}]
+		for i, target := range p.site.lines {
+			ls := p.site.sets[i]
 			if p.hits[target] {
 				ls.PosTotal++
 				reservoirAdd(&ls.Pos, p.snapshot, ls.PosTotal, r)
@@ -199,22 +216,18 @@ func CollectContexts(w *workload.Workload, in workload.Input, scfg sim.Config, s
 			}
 		}
 	}
-	expire := func(now uint64) {
-		keep := queue[:0]
-		for i := range queue {
-			if now-queue[i].cycle > windowCycles {
-				finalize(&queue[i])
-			} else {
-				keep = append(keep, queue[i])
-			}
-		}
-		queue = keep
-	}
 
 	hooks := &sim.Hooks{
 		OnBlock: func(block int, cycle uint64, l *lbr.LBR) {
-			expire(cycle)
-			if _, ok := siteTargets[int32(block)]; !ok {
+			// Block cycles never decrease, so the queue is in cycle order
+			// and the expired entries are a prefix: finalize them front
+			// first, the order a full scan would visit them.
+			for len(queue) > 0 && cycle-queue[0].cycle > windowCycles {
+				finalize(&queue[0])
+				queue = queue[1:]
+			}
+			ss, ok := instrumented[int32(block)]
+			if !ok {
 				return
 			}
 			cp.SiteExec[int32(block)]++
@@ -222,12 +235,7 @@ func CollectContexts(w *workload.Workload, in workload.Input, scfg sim.Config, s
 			for i := 0; i < l.Len(); i++ {
 				snap = append(snap, l.At(i).Block)
 			}
-			queue = append(queue, pending{
-				site:     int32(block),
-				cycle:    cycle,
-				snapshot: snap,
-				hits:     make(map[cfg.LineKey]bool, 2),
-			})
+			queue = append(queue, pending{site: ss, cycle: cycle, snapshot: snap})
 		},
 		OnMiss: func(block int, delta int32, cycle uint64, _ *lbr.LBR) {
 			key := cfg.LineKey{Block: int32(block), Delta: delta}
@@ -236,7 +244,10 @@ func CollectContexts(w *workload.Workload, in workload.Input, scfg sim.Config, s
 				if cycle-p.cycle > windowCycles {
 					continue
 				}
-				if _, want := cp.Sets[siteTarget{p.site, key}]; want {
+				if _, want := cp.Sets[siteTarget{p.site.site, key}]; want {
+					if p.hits == nil {
+						p.hits = make(map[cfg.LineKey]bool, 2)
+					}
 					p.hits[key] = true
 				}
 			}
@@ -251,14 +262,16 @@ func CollectContexts(w *workload.Workload, in workload.Input, scfg sim.Config, s
 	return cp
 }
 
-// reservoirAdd keeps a bounded uniform sample of snapshots.
+// reservoirAdd keeps a bounded uniform sample of snapshots. Snapshots are
+// immutable and shared by every (site, target) set of their site
+// execution, so a replacement swaps the slice and never writes into it.
 func reservoirAdd(dst *[][]int32, snap []int32, total uint64, r *rng.Rand) {
 	if len(*dst) < MaxLabeledSamples {
-		*dst = append(*dst, append([]int32(nil), snap...))
+		*dst = append(*dst, snap)
 		return
 	}
 	if j := r.Intn(int(total)); j < MaxLabeledSamples {
-		(*dst)[j] = append((*dst)[j][:0], snap...)
+		(*dst)[j] = snap
 	}
 }
 

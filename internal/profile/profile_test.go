@@ -1,9 +1,11 @@
 package profile
 
 import (
+	"slices"
 	"testing"
 
 	"ispy/internal/cfg"
+	"ispy/internal/rng"
 	"ispy/internal/sim"
 	"ispy/internal/workload"
 )
@@ -155,5 +157,42 @@ func TestCollectContextsUnknownSite(t *testing.T) {
 	}
 	if cp.Get(1, cfg.LineKey{}) != nil {
 		t.Error("Get on missing pair must return nil")
+	}
+}
+
+// Snapshots are shared by every (site, target) set of a site execution, so
+// a reservoir that keeps sampling past its cap must replace its slots, never
+// write into the snapshots another set still holds.
+func TestReservoirReplacementLeavesSharedSnapshots(t *testing.T) {
+	r := rng.New(1)
+	var busy, idle [][]int32
+	for i := 0; i < MaxLabeledSamples; i++ {
+		snap := []int32{int32(i), int32(i) + 1, int32(i) + 2}
+		reservoirAdd(&busy, snap, uint64(i+1), r)
+		reservoirAdd(&idle, snap, uint64(i+1), r)
+	}
+	want := make([][]int32, len(idle))
+	for i, s := range idle {
+		want[i] = slices.Clone(s)
+	}
+	for i := MaxLabeledSamples; i < 20*MaxLabeledSamples; i++ {
+		reservoirAdd(&busy, []int32{-int32(i)}, uint64(i+1), r)
+	}
+	replaced := 0
+	for _, s := range busy {
+		if s[0] < 0 {
+			replaced++
+		}
+	}
+	if replaced == 0 {
+		t.Fatal("the busy reservoir replaced no slot; the test no longer overfills it")
+	}
+	if len(busy) != MaxLabeledSamples {
+		t.Errorf("busy reservoir holds %d snapshots, cap %d", len(busy), MaxLabeledSamples)
+	}
+	for i := range want {
+		if !slices.Equal(idle[i], want[i]) {
+			t.Fatalf("snapshot %d of the other set changed: %v, want %v", i, idle[i], want[i])
+		}
 	}
 }

@@ -16,9 +16,10 @@
 //     without an adjacent sort, calls with unknown effects, float
 //     accumulation, early exits) plus any call to time.Now, math/rand, or
 //     environment reads.
-//   - freeze: the golden reference kernels (internal/sim/reference.go,
-//     internal/cache/reference.go) must not reference fast-path symbols
-//     (plan.go, mask.go, the SoA cache internals), checked on the
+//   - freeze: the golden references (internal/sim/reference.go,
+//     internal/cache/reference.go, internal/core/reference.go) must not
+//     reference fast-path symbols (plan.go, mask.go, the SoA cache
+//     internals, the discovery fast path in discover.go), checked on the
 //     types-resolved reference graph.
 //   - stats: every exported field of sim.Stats must be read somewhere
 //     outside package sim, so a new counter cannot silently escape the
@@ -204,8 +205,8 @@ func (cfg Config) enabled(pass string) bool {
 }
 
 // DefaultConfig returns the repository's rules: the deterministic layers
-// from ISA to trace serialization, the two golden reference kernels frozen
-// against their fast-path siblings, sim.Stats exhaustiveness, and error
+// from ISA to trace serialization, the golden references (two simulator
+// kernels and context discovery) frozen against their fast-path siblings, sim.Stats exhaustiveness, and error
 // hygiene in the packages that touch the filesystem.
 func DefaultConfig() Config {
 	return Config{
@@ -241,6 +242,11 @@ func DefaultConfig() Config {
 				PkgPath:   "ispy/internal/cache",
 				File:      "reference.go",
 				Forbidden: []string{"cache.go"},
+			},
+			{
+				PkgPath:   "ispy/internal/core",
+				File:      "reference.go",
+				Forbidden: []string{"discover.go"},
 			},
 		},
 		StatsRules: []StatsRule{

@@ -14,11 +14,17 @@
 #   -benchtime T  go test -benchtime argument  (default: 20x)
 #   -count N      go test -count argument      (default: 3; benchjson
 #                 averages the repetitions, damping machine noise)
-#   -quick        smoke mode: one throughput app + the reference kernel,
-#                 -benchtime 1x -count 1 (used by the `make benchsmoke`
-#                 CI gate)
+#   -quick        smoke mode: one throughput app and the reference and
+#                 sharded kernels at -benchtime 1x -count 1, then the
+#                 analysis pipeline at -benchtime 10x -count 10 (used by the
+#                 `make benchsmoke` CI gate; the analysis gate compares
+#                 fastest repetitions, and a 10-iteration sample is
+#                 comparable to the committed 20-iteration ones)
 #   -no-gate      skip the regression comparison against the newest
 #                 committed BENCH_PR*.json (escape hatch for noisy machines)
+#
+# The gate also records analysis_speedup in the output: the previous
+# baseline's median AnalysisPipeline time over this run's.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -42,6 +48,7 @@ out=""
 benchtime="20x"
 count="3"
 gate=1
+quick=0
 pattern='BenchmarkSimulatorThroughput|BenchmarkSimulatorReference|BenchmarkSimulatorSharded|BenchmarkAnalysisPipeline'
 while [ $# -gt 0 ]; do
     case "$1" in
@@ -50,6 +57,7 @@ while [ $# -gt 0 ]; do
     -benchtime) needs_value "$@"; benchtime="$2"; shift 2 ;;
     -count) needs_value "$@"; count="$2"; shift 2 ;;
     -quick)
+        quick=1
         benchtime="1x"
         count="1"
         pattern='BenchmarkSimulatorThroughput/wordpress$|BenchmarkSimulatorReference|BenchmarkSimulatorSharded'
@@ -72,6 +80,10 @@ trap 'rm -f "$tmp"' EXIT
 # the tee'd copy feeds the JSON converter.
 go test -run=NONE -bench "$pattern" -benchmem \
     -benchtime "$benchtime" -count "$count" . | tee "$tmp"
+if [ "$quick" -eq 1 ]; then
+    go test -run=NONE -bench 'BenchmarkAnalysisPipeline$' -benchmem \
+        -benchtime 10x -count 10 . | tee -a "$tmp"
+fi
 go run ./scripts/benchjson -pr "PR${pr}" -o "$out" <"$tmp"
 echo "wrote $out"
 

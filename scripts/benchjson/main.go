@@ -14,9 +14,13 @@
 //
 //	go run ./scripts/benchjson -gate-old BENCH_PR3.json -gate-new fresh.json -max-loss-pct 10
 //
-// compares the wordpress fast-path throughput of two baseline files and
-// exits 1 when the new one has lost more than the threshold — the perf
-// regression gate scripts/bench.sh wires into `make check`.
+// compares the wordpress fast-path throughput of two baseline files, and the
+// AnalysisPipeline time when both files carry it, and exits 1 when the new
+// one has lost more than the threshold on either — the perf regression gate
+// scripts/bench.sh wires into `make check`. When both files carry
+// AnalysisPipeline, gate mode also records the analysis_speedup ratio (the
+// old file's median ns/op over the new one's) into the -gate-new file, so
+// every baseline states its analysis speed against the one before it.
 //
 // Benchmark lines have the shape
 //
@@ -38,6 +42,7 @@ import (
 	"fmt"
 	"os"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 )
@@ -61,6 +66,7 @@ type File struct {
 	CPU             string      `json:"cpu,omitempty"`
 	FastpathSpeedup float64     `json:"fastpath_speedup,omitempty"`
 	ShardedSpeedup  float64     `json:"sharded_speedup,omitempty"`
+	AnalysisSpeedup float64     `json:"analysis_speedup,omitempty"`
 	Benchmarks      []Benchmark `json:"benchmarks"`
 }
 
@@ -123,12 +129,11 @@ func main() {
 		f.ShardedSpeedup = sharded / fast
 	}
 
-	enc, err := json.MarshalIndent(&f, "", "  ")
+	enc, err := encode(&f)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
-	enc = append(enc, '\n')
 	if *out == "" {
 		os.Stdout.Write(enc)
 		return
@@ -137,6 +142,15 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 		os.Exit(1)
 	}
+}
+
+// encode renders a baseline file the way every BENCH_PR*.json is written.
+func encode(f *File) ([]byte, error) {
+	enc, err := json.MarshalIndent(f, "", "  ")
+	if err != nil {
+		return nil, err
+	}
+	return append(enc, '\n'), nil
 }
 
 // parseBenchLine parses one "Benchmark... N val unit [val unit]..." line;
@@ -180,47 +194,100 @@ func parseBenchLine(line string) (Benchmark, bool) {
 	return b, b.NsPerOp > 0
 }
 
-// gate compares the wordpress fast-path throughput of two baseline files
-// and returns the process exit code: 0 when the fresh number is within
-// maxLoss percent of the committed one (or when either file lacks the
-// metric — an incomparable pair is not a regression), 1 on a real loss.
+// analysisBench is the offline-analysis benchmark the gate also watches.
+const analysisBench = "AnalysisPipeline"
+
+// load reads one baseline file.
+func load(path string) (File, error) {
+	var f File
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		return f, err
+	}
+	if err := json.Unmarshal(raw, &f); err != nil {
+		return f, fmt.Errorf("%s: %v", path, err)
+	}
+	return f, nil
+}
+
+// gate compares two baseline files and returns the process exit code. It
+// checks the wordpress fast-path throughput and the AnalysisPipeline time,
+// each only when both files carry it (an incomparable pair is not a
+// regression): 0 when every comparison is within maxLoss percent, 1 on a
+// real loss, 2 when a file cannot be read or written. When both files
+// carry AnalysisPipeline it also records analysis_speedup (median over
+// median) in the new file.
 func gate(oldPath, newPath string, maxLoss float64) int {
-	load := func(path string) (File, bool) {
-		var f File
-		raw, err := os.ReadFile(path)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: gate: %v\n", err)
-			return f, false
-		}
-		if err := json.Unmarshal(raw, &f); err != nil {
-			fmt.Fprintf(os.Stderr, "benchjson: gate: %s: %v\n", path, err)
-			return f, false
-		}
-		return f, true
-	}
-	oldF, ok := load(oldPath)
-	if !ok {
+	oldF, err := load(oldPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: gate: %v\n", err)
 		return 2
 	}
-	newF, ok := load(newPath)
-	if !ok {
+	newF, err := load(newPath)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: gate: %v\n", err)
 		return 2
 	}
+	code := 0
 	oldFast := metric(oldF.Benchmarks, "SimulatorThroughput/wordpress", "instrs/s")
 	newFast := metric(newF.Benchmarks, "SimulatorThroughput/wordpress", "instrs/s")
 	if oldFast <= 0 || newFast <= 0 {
 		fmt.Fprintf(os.Stderr, "benchjson: gate: wordpress throughput missing (%s: %.0f, %s: %.0f); skipping comparison\n",
 			oldPath, oldFast, newPath, newFast)
-		return 0
+	} else {
+		lossPct := (1 - newFast/oldFast) * 100
+		fmt.Fprintf(os.Stderr, "benchjson: gate: wordpress throughput %s %.3g instrs/s → %s %.3g instrs/s (%+.1f%%, limit -%.0f%%)\n",
+			oldPath, oldFast, newPath, newFast, -lossPct, maxLoss)
+		if lossPct > maxLoss {
+			fmt.Fprintf(os.Stderr, "benchjson: gate: FAIL — throughput regressed %.1f%% (> %.0f%%)\n", lossPct, maxLoss)
+			code = 1
+		}
 	}
-	lossPct := (1 - newFast/oldFast) * 100
-	fmt.Fprintf(os.Stderr, "benchjson: gate: wordpress throughput %s %.3g instrs/s → %s %.3g instrs/s (%+.1f%%, limit -%.0f%%)\n",
-		oldPath, oldFast, newPath, newFast, -lossPct, maxLoss)
+	// The analysis gate compares each file's fastest repetition: machine
+	// noise only ever adds time, so the minimum is the steadiest estimate
+	// of the code's own cost on a shared runner.
+	oldAll, newAll := nsPerOp(oldF.Benchmarks, analysisBench), nsPerOp(newF.Benchmarks, analysisBench)
+	if len(oldAll) == 0 || len(newAll) == 0 {
+		fmt.Fprintf(os.Stderr, "benchjson: gate: %s missing from %s or %s; skipping comparison\n",
+			analysisBench, oldPath, newPath)
+		return code
+	}
+	oldNs, newNs := oldAll[0], newAll[0]
+	lossPct := (newNs/oldNs - 1) * 100
+	fmt.Fprintf(os.Stderr, "benchjson: gate: %s %s %.3g ns/op → %s %.3g ns/op (%+.1f%% time, limit +%.0f%%)\n",
+		analysisBench, oldPath, oldNs, newPath, newNs, lossPct, maxLoss)
 	if lossPct > maxLoss {
-		fmt.Fprintf(os.Stderr, "benchjson: gate: FAIL — throughput regressed %.1f%% (> %.0f%%)\n", lossPct, maxLoss)
-		return 1
+		fmt.Fprintf(os.Stderr, "benchjson: gate: FAIL — %s slowed %.1f%% (> %.0f%%)\n", analysisBench, lossPct, maxLoss)
+		code = 1
 	}
-	return 0
+	newF.AnalysisSpeedup = median(oldAll) / median(newAll)
+	enc, err := encode(&newF)
+	if err == nil {
+		err = os.WriteFile(newPath, enc, 0o644)
+	}
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "benchjson: gate: recording analysis_speedup: %v\n", err)
+		return 2
+	}
+	return code
+}
+
+// median returns the middle of a sorted, non-empty slice.
+func median(sorted []float64) float64 {
+	return sorted[len(sorted)/2]
+}
+
+// nsPerOp returns the ns/op of every repetition of the benchmark named
+// exactly name, sorted ascending.
+func nsPerOp(bs []Benchmark, name string) []float64 {
+	var ns []float64
+	for _, b := range bs {
+		if b.Name == name && b.NsPerOp > 0 {
+			ns = append(ns, b.NsPerOp)
+		}
+	}
+	sort.Float64s(ns)
+	return ns
 }
 
 // metric returns the named custom metric averaged over every benchmark
