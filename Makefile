@@ -96,7 +96,8 @@ benchall:
 
 # The reproducible perf baseline: headline benchmarks → BENCH_PR$(PR).json
 # at the repo root, gated against the newest committed baseline (see
-# docs/PERFORMANCE.md). Override the label with `make bench PR=7`.
-PR ?= 6
+# docs/PERFORMANCE.md). PR is required (`make bench PR=N`), so no run
+# clobbers an earlier PR's committed baseline.
 bench:
+	@if [ -z "$(PR)" ]; then echo "usage: make bench PR=N (N names the new BENCH_PR<N>.json)" >&2; exit 2; fi
 	./scripts/bench.sh -pr $(PR)

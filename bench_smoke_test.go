@@ -35,7 +35,6 @@ func TestBenchScriptEmitsJSON(t *testing.T) {
 		PR              string  `json:"pr"`
 		GoVersion       string  `json:"go_version"`
 		FastpathSpeedup float64 `json:"fastpath_speedup"`
-		ShardedSpeedup  float64 `json:"sharded_speedup"`
 		AnalysisSpeedup float64 `json:"analysis_speedup"`
 		Benchmarks      []struct {
 			Name    string             `json:"name"`
@@ -72,9 +71,6 @@ func TestBenchScriptEmitsJSON(t *testing.T) {
 	}
 	if f.FastpathSpeedup <= 0 {
 		t.Errorf("fastpath_speedup not derived (got %v)", f.FastpathSpeedup)
-	}
-	if f.ShardedSpeedup <= 0 {
-		t.Errorf("sharded_speedup not derived (got %v)", f.ShardedSpeedup)
 	}
 	if f.AnalysisSpeedup <= 0 {
 		t.Errorf("analysis_speedup not recorded by the gate (got %v)", f.AnalysisSpeedup)

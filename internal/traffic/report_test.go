@@ -9,8 +9,8 @@ import (
 
 // TestCollectorAttributesRun drives a real baseline simulation of a
 // two-tenant world and checks that hook-attributed rows are internally
-// consistent and reproducible across shard counts (the hook streams are
-// pinned bit-identical between sequential and banked runs).
+// consistent and reproducible: two runs of the same world give equal rows
+// and Stats.
 func TestCollectorAttributesRun(t *testing.T) {
 	spec := mustSpec(t, "seed=12;requests=64;arrival=gamma:0.6;tenants=wordpress:slo=interactive,kafka:slo=batch")
 	w, err := BuildWorld(spec)
@@ -22,23 +22,23 @@ func TestCollectorAttributesRun(t *testing.T) {
 	cfg.MaxInstrs = 200_000
 	cfg.WarmupInstrs = 50_000
 
-	run := func(shards int) ([]TenantRow, *sim.Stats) {
+	run := func() ([]TenantRow, *sim.Stats) {
 		ex, err := NewExecutor(w, tr)
 		if err != nil {
 			t.Fatal(err)
 		}
 		c := NewCollector(w)
-		st := sim.RunSharded(w.Prog, ex, cfg, c.Hooks(), shards)
+		st := sim.Run(w.Prog, ex, cfg, c.Hooks())
 		return c.Rows(), st
 	}
 
-	rows1, st := run(1)
-	rows4, st4 := run(4)
-	if !reflect.DeepEqual(rows1, rows4) {
-		t.Fatalf("rows differ across shard counts:\n1: %+v\n4: %+v", rows1, rows4)
+	rows1, st := run()
+	rows2, st2 := run()
+	if !reflect.DeepEqual(rows1, rows2) {
+		t.Fatalf("rows differ between identical runs:\n1: %+v\n2: %+v", rows1, rows2)
 	}
-	if *st != *st4 {
-		t.Fatalf("stats differ across shard counts")
+	if *st != *st2 {
+		t.Fatalf("stats differ between identical runs")
 	}
 
 	var blocks, instrs, misses, reqs uint64

@@ -1,13 +1,11 @@
-// The concurrency-hygiene pass, module-wide. Three checks:
+// The concurrency-hygiene pass, module-wide. Two checks:
 //
 //  1. Pool-task context discipline: a func literal passed to a Pool/Group
 //     Go method that names its context parameter but never uses it almost
 //     always means cancellation was forgotten — the task will run to
 //     completion after the run is cancelled. Literals with an unnamed or
 //     underscore parameter are an explicit opt-out and stay silent.
-//  2. Lock-by-value: assigning, passing, or ranging a value whose type
-//     contains a sync.Mutex/RWMutex/WaitGroup/Once copies lock state.
-//  3. Locks held across blocking points: a linear scan of each statement
+//  2. Locks held across blocking points: a linear scan of each statement
 //     list tracks mu.Lock()/mu.Unlock() pairs (keyed by receiver
 //     expression) and reports WaitGroup.Wait calls and channel operations
 //     made while a lock is held — the standing deadlock shape the
@@ -27,7 +25,6 @@ func checkConcurrency(pkgs []*Package) []Diagnostic {
 	decls := declIndex(pkgs)
 	for _, p := range pkgs {
 		diags = append(diags, concPoolCtx(p, decls)...)
-		diags = append(diags, concLockCopies(p)...)
 		diags = append(diags, concHeldLocks(p)...)
 	}
 	return diags
@@ -217,130 +214,12 @@ func identUsed(p *Package, body ast.Node, obj types.Object) bool {
 	return used
 }
 
-// --- check 2: lock values copied ---
-
-func concLockCopies(p *Package) []Diagnostic {
-	var diags []Diagnostic
-	report := func(pos token.Pos, what string, t types.Type) {
-		diags = append(diags, Diagnostic{Pos: p.Fset.Position(pos), Pass: PassConcurrency,
-			Message: fmt.Sprintf("%s copies %s, which contains a lock", what, types.TypeString(t, nil))})
-	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for i, rhs := range n.Rhs {
-					if i >= len(n.Lhs) {
-						break
-					}
-					if isBlank(n.Lhs[i]) {
-						continue
-					}
-					// Copying out of a dereference or a composite value;
-					// taking a pointer or building a composite literal is
-					// fine.
-					if t := valueCopyType(p, rhs); t != nil && containsLock(t) {
-						report(rhs.Pos(), "assignment", t)
-					}
-				}
-			case *ast.RangeStmt:
-				if t := p.Info.TypeOf(rs(n)); t != nil {
-					if elem := rangeElemType(t); elem != nil && containsLock(elem) {
-						if n.Value != nil && !isBlank(n.Value) {
-							report(n.Value.Pos(), "range value", elem)
-						}
-					}
-				}
-			case *ast.CallExpr:
-				if tv, ok := p.Info.Types[n.Fun]; ok && tv.IsType() {
-					return true
-				}
-				for _, arg := range n.Args {
-					if t := valueCopyType(p, arg); t != nil && containsLock(t) {
-						report(arg.Pos(), "argument", t)
-					}
-				}
-			}
-			return true
-		})
-	}
-	return diags
-}
-
-func rs(n *ast.RangeStmt) ast.Expr { return n.X }
-
 func isBlank(e ast.Expr) bool {
 	id, ok := e.(*ast.Ident)
 	return ok && id.Name == "_"
 }
 
-// valueCopyType returns the type of rhs when evaluating it copies a value
-// (a dereference, a variable read, a field read), or nil for expressions
-// that create or reference rather than copy (literals, calls, &x, index of
-// a map — which is already a copy the compiler rejects for locks).
-func valueCopyType(p *Package, e ast.Expr) types.Type {
-	switch e := ast.Unparen(e).(type) {
-	case *ast.Ident, *ast.SelectorExpr, *ast.StarExpr, *ast.IndexExpr:
-		t := p.Info.TypeOf(e.(ast.Expr))
-		if t == nil {
-			return nil
-		}
-		if _, ok := t.(*types.Pointer); ok {
-			return nil
-		}
-		// Only struct (or array-of-struct) values can embed locks.
-		return t
-	default:
-		return nil
-	}
-}
-
-func rangeElemType(t types.Type) types.Type {
-	switch t := t.Underlying().(type) {
-	case *types.Slice:
-		return t.Elem()
-	case *types.Array:
-		return t.Elem()
-	case *types.Map:
-		return t.Elem()
-	}
-	return nil
-}
-
-// containsLock reports whether t (by value) transitively contains a sync
-// lock type.
-func containsLock(t types.Type) bool {
-	return lockIn(t, make(map[types.Type]bool))
-}
-
-func lockIn(t types.Type, seen map[types.Type]bool) bool {
-	if seen[t] {
-		return false
-	}
-	seen[t] = true
-	if named, ok := t.(*types.Named); ok {
-		obj := named.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Map", "Pool":
-				return true
-			}
-		}
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if lockIn(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return lockIn(u.Elem(), seen)
-	}
-	return false
-}
-
-// --- check 3: locks held across Wait / channel operations ---
+// --- check 2: locks held across Wait / channel operations ---
 
 func concHeldLocks(p *Package) []Diagnostic {
 	var diags []Diagnostic

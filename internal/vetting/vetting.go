@@ -25,8 +25,8 @@
 //     outside package sim, so a new counter cannot silently escape the
 //     golden comparison and the artifact serializer.
 //   - concurrency: experiments.Pool task literals with a named-but-unused
-//     ctx parameter, lock-by-value copies, and locks held across Wait calls
-//     or channel operations.
+//     ctx parameter, and locks held across Wait calls or channel
+//     operations (lock-by-value copies are go vet's copylocks check).
 //   - errors: unchecked or blank-assigned error returns in the I/O-handling
 //     packages (traceio, artifacts, faults).
 //
@@ -259,11 +259,8 @@ func DefaultConfig() Config {
 		HotPathRoots: []string{
 			"ispy/internal/sim.Run",
 			"ispy/internal/sim.BatchSource.NextN",
-			"ispy/internal/sim.bankKernel.processChunk",
-			"ispy/internal/sim.timingKernel.processChunk",
 			"ispy/internal/cache.Hierarchy.FetchI",
 			"ispy/internal/cache.Hierarchy.PrefetchI",
-			"ispy/internal/cache.Bank.Fetch",
 		},
 		PureExternal: []string{"math", "math/bits"},
 		SinkPkgs: []string{
@@ -291,7 +288,6 @@ func DefaultConfig() Config {
 		},
 		ComputeRoots: []string{
 			"ispy/internal/sim.Run",
-			"ispy/internal/sim.RunSharded",
 			"ispy/internal/sim.BatchSource.NextN",
 			"ispy/internal/core.BuildISPY",
 			"ispy/internal/traffic.Compose",

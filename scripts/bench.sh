@@ -14,8 +14,8 @@
 #   -benchtime T  go test -benchtime argument  (default: 20x)
 #   -count N      go test -count argument      (default: 3; benchjson
 #                 averages the repetitions, damping machine noise)
-#   -quick        smoke mode: one throughput app and the reference and
-#                 sharded kernels at -benchtime 1x -count 1, then the
+#   -quick        smoke mode: one throughput app and the reference
+#                 kernel at -benchtime 1x -count 1, then the
 #                 analysis pipeline at -benchtime 10x -count 10 (used by the
 #                 `make benchsmoke` CI gate; the analysis gate compares
 #                 fastest repetitions, and a 10-iteration sample is
@@ -49,7 +49,7 @@ benchtime="20x"
 count="3"
 gate=1
 quick=0
-pattern='BenchmarkSimulatorThroughput|BenchmarkSimulatorReference|BenchmarkSimulatorSharded|BenchmarkAnalysisPipeline'
+pattern='BenchmarkSimulatorThroughput|BenchmarkSimulatorReference|BenchmarkAnalysisPipeline'
 while [ $# -gt 0 ]; do
     case "$1" in
     -pr) needs_value "$@"; pr="$2"; shift 2 ;;
@@ -60,7 +60,7 @@ while [ $# -gt 0 ]; do
         quick=1
         benchtime="1x"
         count="1"
-        pattern='BenchmarkSimulatorThroughput/wordpress$|BenchmarkSimulatorReference|BenchmarkSimulatorSharded'
+        pattern='BenchmarkSimulatorThroughput/wordpress$|BenchmarkSimulatorReference'
         shift ;;
     -no-gate) gate=0; shift ;;
     *) usage ;;

@@ -65,7 +65,6 @@ type File struct {
 	GOARCH          string      `json:"goarch"`
 	CPU             string      `json:"cpu,omitempty"`
 	FastpathSpeedup float64     `json:"fastpath_speedup,omitempty"`
-	ShardedSpeedup  float64     `json:"sharded_speedup,omitempty"`
 	AnalysisSpeedup float64     `json:"analysis_speedup,omitempty"`
 	Benchmarks      []Benchmark `json:"benchmarks"`
 }
@@ -123,10 +122,6 @@ func main() {
 	ref := metric(f.Benchmarks, "SimulatorReference", "instrs/s")
 	if fast > 0 && ref > 0 {
 		f.FastpathSpeedup = fast / ref
-	}
-	sharded := metric(f.Benchmarks, "SimulatorSharded/wordpress", "instrs/s")
-	if fast > 0 && sharded > 0 {
-		f.ShardedSpeedup = sharded / fast
 	}
 
 	enc, err := encode(&f)
