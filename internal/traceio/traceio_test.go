@@ -2,6 +2,7 @@ package traceio
 
 import (
 	"bytes"
+	"reflect"
 	"testing"
 
 	"ispy/internal/cfg"
@@ -197,17 +198,28 @@ func TestEmptyGraphRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatsRoundTrip fills every uint64 counter of sim.Stats — the nested
+// per-level cache.Stats included — with a distinct value by reflection, so a
+// counter added to either struct but not to the serializer fails here.
 func TestStatsRoundTrip(t *testing.T) {
-	s := &sim.Stats{
-		Instrs: 123456, BaseInstrs: 120000, Blocks: 9876,
-		Cycles: 555555, IssueCycles: 1, BackendCycles: 2, StallCycles: 3,
-		FullStallCycles: 4, LineFetches: 5, L1IMisses: 6, LateWaits: 7,
-		DynPrefetchInstrs: 8, PrefetchLinesIssued: 9,
-		CondExecuted: 10, CondFired: 11, CondSuppressed: 12, CondFalseFires: 13,
+	s := &sim.Stats{}
+	next := uint64(0)
+	var fill func(v reflect.Value, path string)
+	fill = func(v reflect.Value, path string) {
+		for i := 0; i < v.NumField(); i++ {
+			f, name := v.Field(i), path+v.Type().Field(i).Name
+			switch f.Kind() {
+			case reflect.Uint64:
+				next++
+				f.SetUint(next * 1009) // distinct, multi-byte varints
+			case reflect.Struct:
+				fill(f, name+".")
+			default:
+				t.Fatalf("field %s has kind %s; extend this test and the serializer", name, f.Kind())
+			}
+		}
 	}
-	s.L1I.Accesses, s.L1I.Misses, s.L1I.PrefetchUseful = 100, 20, 15
-	s.L2.PrefetchInserts, s.L2.PrefetchRedundant = 30, 3
-	s.L3.Misses, s.L3.PrefetchLate, s.L3.PrefetchUseless = 40, 4, 2
+	fill(reflect.ValueOf(s).Elem(), "Stats.")
 	var buf bytes.Buffer
 	if err := WriteStats(&buf, s); err != nil {
 		t.Fatal(err)
@@ -217,7 +229,7 @@ func TestStatsRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if *got != *s {
-		t.Errorf("round trip mismatch:\n got %+v\nwant %+v", got, s)
+		t.Errorf("round trip mismatch:\n got %#v\nwant %#v", *got, *s)
 	}
 }
 

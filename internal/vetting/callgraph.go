@@ -568,6 +568,65 @@ func (g *CallGraph) ResolveRoot(spec string) ([]*Node, error) {
 	return nil, fmt.Errorf("root %q: type %s has no method %s", spec, parts[1], parts[2])
 }
 
+// reachableRegion resolves the root specs and returns every module node
+// reachable from them, mapped to the spec that first reached it (for
+// diagnostics). Bad root specs become diagnostics attributed to pass.
+//
+// Reachability follows static and interface edges, plus the closures
+// lexically nested in reachable code (they run on the same path when
+// invoked through function-value calls like Attempt). Signature-keyed
+// dynamic edges are deliberately excluded: they would pull in every
+// same-signature closure in the module (soak workers, server internals)
+// and drown the region in unrelated "reachable" code.
+func (g *CallGraph) reachableRegion(specs []string, pass string) (map[*Node]string, []Diagnostic) {
+	var diags []Diagnostic
+	origin := make(map[*Node]string)
+	var frontier []*Node
+	for _, spec := range specs {
+		roots, err := g.ResolveRoot(spec)
+		if err != nil {
+			diags = append(diags, Diagnostic{Pass: pass,
+				Message: fmt.Sprintf("bad root %q: %v", spec, err)})
+			continue
+		}
+		for _, r := range roots {
+			if _, ok := origin[r]; !ok {
+				origin[r] = spec
+				frontier = append(frontier, r)
+			}
+		}
+	}
+	children := make(map[*Node][]*Node)
+	for _, n := range g.moduleNodes() {
+		if n.Parent != nil {
+			children[n.Parent] = append(children[n.Parent], n)
+		}
+	}
+	for len(frontier) > 0 {
+		n := frontier[0]
+		frontier = frontier[1:]
+		visit := func(to *Node) {
+			if to.External() {
+				return
+			}
+			if _, ok := origin[to]; !ok {
+				origin[to] = origin[n]
+				frontier = append(frontier, to)
+			}
+		}
+		for _, e := range n.Out {
+			if e.Kind == EdgeDyn {
+				continue
+			}
+			visit(e.To)
+		}
+		for _, c := range children[n] {
+			visit(c)
+		}
+	}
+	return origin, diags
+}
+
 // EdgeStrings renders every edge as "from -> to [kind]", sorted, for the
 // call-graph construction tests.
 func (g *CallGraph) EdgeStrings() []string {

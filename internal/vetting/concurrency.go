@@ -1,10 +1,10 @@
 // The concurrency-hygiene pass, module-wide. Two checks:
 //
-//  1. Pool-task context discipline: a func literal passed to a Pool/Group
-//     Go method that names its context parameter but never uses it almost
-//     always means cancellation was forgotten — the task will run to
-//     completion after the run is cancelled. Literals with an unnamed or
-//     underscore parameter are an explicit opt-out and stay silent.
+//  1. Pool-task context discipline: a task passed to a Pool/Group Go method
+//     that names its context parameter but never uses it almost always
+//     means cancellation was forgotten — the task will run to completion
+//     after the run is cancelled. Tasks with an unnamed or underscore
+//     parameter are an explicit opt-out and stay silent.
 //  2. Locks held across blocking points: a linear scan of each statement
 //     list tracks mu.Lock()/mu.Unlock() pairs (keyed by receiver
 //     expression) and reports WaitGroup.Wait calls and channel operations
@@ -20,11 +20,14 @@ import (
 	"strings"
 )
 
-func checkConcurrency(pkgs []*Package) []Diagnostic {
+func checkConcurrency(pkgs []*Package, sa *spawnAnalysis) []Diagnostic {
 	var diags []Diagnostic
-	decls := declIndex(pkgs)
+	for _, s := range sa.sites {
+		if s.pool && s.body != nil {
+			diags = append(diags, concPoolCtx(s)...)
+		}
+	}
 	for _, p := range pkgs {
-		diags = append(diags, concPoolCtx(p, decls)...)
 		diags = append(diags, concHeldLocks(p)...)
 	}
 	return diags
@@ -32,127 +35,24 @@ func checkConcurrency(pkgs []*Package) []Diagnostic {
 
 // --- check 1: Pool tasks ignoring their ctx parameter ---
 
-// declFuncs maps every module function object to its declaring package and
-// declaration, so a named task passed to a pool resolves across packages.
-type declFuncs map[*types.Func]struct {
-	p    *Package
-	decl *ast.FuncDecl
-}
-
-func declIndex(pkgs []*Package) declFuncs {
-	idx := make(declFuncs)
-	for _, p := range pkgs {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				if fd, ok := d.(*ast.FuncDecl); ok && fd.Body != nil {
-					if fn, ok := p.Info.Defs[fd.Name].(*types.Func); ok {
-						idx[fn] = struct {
-							p    *Package
-							decl *ast.FuncDecl
-						}{p, fd}
-					}
-				}
-			}
-		}
+// concPoolCtx flags a pool task that names a context parameter but never
+// uses it. The spawn inventory has already resolved the task to a body: a
+// func literal, a named function (identifier or selector), or the
+// initializer literal of a function-valued variable.
+func concPoolCtx(s *spawnSite) []Diagnostic {
+	var ft *ast.FuncType
+	switch span := s.span.(type) {
+	case *ast.FuncLit:
+		ft = span.Type
+	case *ast.FuncDecl:
+		ft = span.Type
 	}
-	return idx
-}
-
-// concPoolCtx flags pool tasks that name a context parameter but never use
-// it. The task may be a func literal, a named function (identifier or
-// selector), or a function-valued variable whose initializer literal is
-// visible in the same package.
-func concPoolCtx(p *Package, decls declFuncs) []Diagnostic {
-	var diags []Diagnostic
-	checkLit := func(lp *Package, ft *ast.FuncType, body *ast.BlockStmt, pos ast.Node, what string) {
-		ctx := namedCtxParam(lp, ft)
-		if ctx == nil {
-			return
-		}
-		if !identUsed(lp, body, ctx) {
-			diags = append(diags, Diagnostic{Pos: p.Fset.Position(pos.Pos()), Pass: PassConcurrency,
-				Message: fmt.Sprintf("%s names its context parameter %q but never uses it; honor cancellation or use an unnamed parameter", what, ctx.Name())})
-		}
+	ctx := namedCtxParam(s.bodyPkg, ft)
+	if ctx == nil || identUsed(s.bodyPkg, s.body, ctx) {
+		return nil
 	}
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isPoolGo(p, call) {
-				return true
-			}
-			for _, arg := range call.Args {
-				switch arg := ast.Unparen(arg).(type) {
-				case *ast.FuncLit:
-					checkLit(p, arg.Type, arg.Body, arg, "pool task")
-				case *ast.Ident:
-					concCheckNamedTask(p, decls, arg, p.Info.Uses[arg], checkLit)
-				case *ast.SelectorExpr:
-					concCheckNamedTask(p, decls, arg, p.Info.Uses[arg.Sel], checkLit)
-				}
-			}
-			return true
-		})
-	}
-	return diags
-}
-
-// concCheckNamedTask applies the ctx-usage rule to a non-literal task
-// argument: a named function's declaration, or the initializer literal of a
-// function-valued variable.
-func concCheckNamedTask(p *Package, decls declFuncs, arg ast.Expr, obj types.Object,
-	checkLit func(*Package, *ast.FuncType, *ast.BlockStmt, ast.Node, string)) {
-	switch obj := obj.(type) {
-	case *types.Func:
-		if di, ok := decls[obj]; ok {
-			checkLit(di.p, di.decl.Type, di.decl.Body, arg, fmt.Sprintf("pool task %s", obj.Name()))
-		}
-	case *types.Var:
-		if lit := initializerLit(p, obj); lit != nil {
-			checkLit(p, lit.Type, lit.Body, arg, fmt.Sprintf("pool task %s", obj.Name()))
-		}
-	}
-}
-
-// initializerLit finds the function literal a variable is bound to (via :=,
-// =, or a var declaration) within the same package.
-func initializerLit(p *Package, v *types.Var) *ast.FuncLit {
-	var found *ast.FuncLit
-	for _, f := range p.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			if found != nil {
-				return false
-			}
-			switch n := n.(type) {
-			case *ast.AssignStmt:
-				for i, lhs := range n.Lhs {
-					if i >= len(n.Rhs) {
-						break
-					}
-					if id, ok := lhs.(*ast.Ident); ok && (p.Info.Defs[id] == v || p.Info.Uses[id] == v) {
-						if lit, ok := ast.Unparen(n.Rhs[i]).(*ast.FuncLit); ok {
-							found = lit
-						}
-					}
-				}
-			case *ast.ValueSpec:
-				for i, name := range n.Names {
-					if i >= len(n.Values) {
-						break
-					}
-					if p.Info.Defs[name] == v {
-						if lit, ok := ast.Unparen(n.Values[i]).(*ast.FuncLit); ok {
-							found = lit
-						}
-					}
-				}
-			}
-			return found == nil
-		})
-		if found != nil {
-			break
-		}
-	}
-	return found
+	return []Diagnostic{{Pos: s.p.Fset.Position(s.task.Pos()), Pass: PassConcurrency,
+		Message: fmt.Sprintf("%s names its context parameter %q but never uses it; honor cancellation or use an unnamed parameter", s.desc, ctx.Name())}}
 }
 
 // isPoolGo reports whether call is a Go method on a type from
@@ -194,13 +94,16 @@ func namedCtxParam(p *Package, ft *ast.FuncType) types.Object {
 	return nil
 }
 
-func isContextType(t types.Type) bool {
+func isContextType(t types.Type) bool { return isNamed(t, "context", "Context") }
+
+// isNamed reports whether t is the named type pkgPath.name.
+func isNamed(t types.Type, pkgPath, name string) bool {
 	named, ok := t.(*types.Named)
 	if !ok {
 		return false
 	}
 	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "context" && obj.Name() == "Context"
+	return obj.Pkg() != nil && obj.Pkg().Path() == pkgPath && obj.Name() == name
 }
 
 func identUsed(p *Package, body ast.Node, obj types.Object) bool {
@@ -379,10 +282,5 @@ func isCondType(p *Package, call *ast.CallExpr) bool {
 	if ptr, ok := t.(*types.Pointer); ok {
 		t = ptr.Elem()
 	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "sync" && obj.Name() == "Cond"
+	return isNamed(t, "sync", "Cond")
 }

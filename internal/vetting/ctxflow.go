@@ -8,8 +8,8 @@
 // Two findings:
 //
 //  1. minting: a call to context.Background() or context.TODO() anywhere in
-//     request-reachable code (reachability over the call graph from
-//     Config.CtxRoots, all edge kinds);
+//     request-reachable code (CallGraph.reachableRegion from
+//     Config.CtxRoots: static and interface edges plus nested closures);
 //  2. dropping: a context-typed argument at a request-reachable call site
 //     whose value is not derived — via the module-wide flow graph — from a
 //     request source (a context or *http.Request parameter of reachable
@@ -28,63 +28,7 @@ import (
 )
 
 func checkCtxFlow(a *Analysis, cfg Config, ws *waiverSet) []Diagnostic {
-	var diags []Diagnostic
-	if len(cfg.CtxRoots) == 0 {
-		return nil
-	}
-
-	// Reachability from the request roots, remembering which root found
-	// each node (for diagnostics).
-	origin := make(map[*Node]string)
-	var frontier []*Node
-	for _, spec := range cfg.CtxRoots {
-		roots, err := a.graph.ResolveRoot(spec)
-		if err != nil {
-			diags = append(diags, Diagnostic{Pass: PassCtxFlow,
-				Message: fmt.Sprintf("bad ctx root %q: %v", spec, err)})
-			continue
-		}
-		for _, r := range roots {
-			if _, ok := origin[r]; !ok {
-				origin[r] = spec
-				frontier = append(frontier, r)
-			}
-		}
-	}
-	// Reachability follows static and interface edges, plus the closures
-	// lexically nested in reachable code (they run on the request path when
-	// invoked through function-value calls like Attempt). Signature-keyed
-	// dynamic edges are deliberately excluded: they would pull in every
-	// same-signature closure in the module (soak workers, server internals)
-	// and drown the pass in unrelated "reachable" code.
-	children := make(map[*Node][]*Node)
-	for _, n := range a.graph.moduleNodes() {
-		if n.Parent != nil {
-			children[n.Parent] = append(children[n.Parent], n)
-		}
-	}
-	for len(frontier) > 0 {
-		n := frontier[0]
-		frontier = frontier[1:]
-		visit := func(to *Node) {
-			if to.External() {
-				return
-			}
-			if _, ok := origin[to]; !ok {
-				origin[to] = origin[n]
-				frontier = append(frontier, to)
-			}
-		}
-		for _, e := range n.Out {
-			if e.Kind == EdgeDyn {
-				continue
-			}
-			visit(e.To)
-		}
-		for _, c := range children[n] {
-			visit(c)
-		}
-	}
+	origin, diags := a.graph.reachableRegion(cfg.CtxRoots, PassCtxFlow)
 
 	// Request sources: context and *http.Request parameters of reachable
 	// functions (closures share their enclosing function's objects, so a
@@ -196,13 +140,5 @@ func isFreshCtxExpr(p *Package, e ast.Expr) bool {
 // isRequestType matches *net/http.Request.
 func isRequestType(t types.Type) bool {
 	ptr, ok := t.(*types.Pointer)
-	if !ok {
-		return false
-	}
-	named, ok := ptr.Elem().(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := named.Obj()
-	return obj.Pkg() != nil && obj.Pkg().Path() == "net/http" && obj.Name() == "Request"
+	return ok && isNamed(ptr.Elem(), "net/http", "Request")
 }

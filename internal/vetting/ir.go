@@ -714,7 +714,7 @@ func (lw *lowering) orderStore(rs *ast.RangeStmt, keyObj types.Object, stmt *ast
 		if isCommutativeOp(tok) && isIntegerType(obj.Type()) {
 			return
 		}
-		if tok == token.ASSIGN && guardedExtremum(rs, stmt, l) {
+		if tok == token.ASSIGN && guardedExtremum(rs, stmt) {
 			return
 		}
 		*out = append(*out, orderEffect{key: objK(obj), pos: lw.pos(stmt),
@@ -731,7 +731,7 @@ func (lw *lowering) orderStore(rs *ast.RangeStmt, keyObj types.Object, stmt *ast
 
 // guardedExtremum recognizes the max/min idiom: the assignment `v = x` as
 // the sole statement of `if x > v { ... }` (or <, >=, <=) is order-free.
-func guardedExtremum(rs *ast.RangeStmt, stmt *ast.AssignStmt, v *ast.Ident) bool {
+func guardedExtremum(rs *ast.RangeStmt, stmt *ast.AssignStmt) bool {
 	if len(stmt.Lhs) != 1 || len(stmt.Rhs) != 1 {
 		return false
 	}
@@ -763,7 +763,6 @@ func guardedExtremum(rs *ast.RangeStmt, stmt *ast.AssignStmt, v *ast.Ident) bool
 		}
 		return true
 	})
-	_ = v
 	return found
 }
 

@@ -63,9 +63,9 @@ func checkKeySound(a *Analysis, cfg Config, ws *waiverSet) ([]Diagnostic, []KeyF
 	}
 	var diags []Diagnostic
 
-	foldRegion, errs := reachableRegion(a, cfg.KeyFoldRoots, PassKeySound)
+	foldRegion, errs := a.graph.reachableRegion(cfg.KeyFoldRoots, PassKeySound)
 	diags = append(diags, errs...)
-	computeRegion, errs := reachableRegion(a, cfg.ComputeRoots, PassKeySound)
+	computeRegion, errs := a.graph.reachableRegion(cfg.ComputeRoots, PassKeySound)
 	diags = append(diags, errs...)
 	if len(foldRegion) == 0 || len(computeRegion) == 0 {
 		return diags, nil
@@ -192,59 +192,6 @@ func assignWriteTargets(body ast.Node) map[*ast.SelectorExpr]bool {
 		return true
 	})
 	return out
-}
-
-// reachableRegion resolves the root specs and walks the call graph over
-// static and interface edges plus lexically nested closures — the same
-// recipe as ctxflow, with signature-keyed dynamic edges excluded. Bad root
-// specs become diagnostics attributed to pass.
-func reachableRegion(a *Analysis, specs []string, pass string) (map[*Node]string, []Diagnostic) {
-	var diags []Diagnostic
-	origin := make(map[*Node]string)
-	var frontier []*Node
-	for _, spec := range specs {
-		roots, err := a.graph.ResolveRoot(spec)
-		if err != nil {
-			diags = append(diags, Diagnostic{Pass: pass,
-				Message: fmt.Sprintf("bad root %q: %v", spec, err)})
-			continue
-		}
-		for _, r := range roots {
-			if _, ok := origin[r]; !ok {
-				origin[r] = spec
-				frontier = append(frontier, r)
-			}
-		}
-	}
-	children := make(map[*Node][]*Node)
-	for _, n := range a.graph.moduleNodes() {
-		if n.Parent != nil {
-			children[n.Parent] = append(children[n.Parent], n)
-		}
-	}
-	for len(frontier) > 0 {
-		n := frontier[0]
-		frontier = frontier[1:]
-		visit := func(to *Node) {
-			if to.External() {
-				return
-			}
-			if _, ok := origin[to]; !ok {
-				origin[to] = origin[n]
-				frontier = append(frontier, to)
-			}
-		}
-		for _, e := range n.Out {
-			if e.Kind == EdgeDyn {
-				continue
-			}
-			visit(e.To)
-		}
-		for _, c := range children[n] {
-			visit(c)
-		}
-	}
-	return origin, diags
 }
 
 // fieldDeclPos locates a field's declaration position in its package's

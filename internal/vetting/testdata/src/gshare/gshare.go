@@ -24,6 +24,21 @@ func Unsynced(p *experiments.Pool, items []int) int {
 	return n
 }
 
+// UnsyncedVar is Unsynced with the task bound to a variable first: the
+// spawn inventory must resolve the variable to its literal to see the race.
+func UnsyncedVar(p *experiments.Pool, items []int) int {
+	n := 0
+	for range items {
+		task := func(context.Context) error {
+			n++
+			return nil
+		}
+		p.Go(task) // want `may race on n`
+	}
+	p.Wait()
+	return n
+}
+
 // Locked is the same counter under a common mutex and is clean.
 func Locked(p *experiments.Pool, items []int) int {
 	var mu sync.Mutex

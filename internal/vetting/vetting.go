@@ -8,7 +8,7 @@
 // workload generation → profiling → analysis → simulation → reporting —
 // stays free of Go's classic nondeterminism traps.
 //
-// Twelve passes run over the type-checked module (DESIGN.md §10). The five
+// Eleven passes run over the type-checked module (DESIGN.md §10). The four
 // local ones:
 //
 //   - determinism: in the deterministic packages, flag `range` over
@@ -21,12 +21,9 @@
 //     reference fast-path symbols (plan.go, mask.go, the SoA cache
 //     internals, the discovery fast path in discover.go), checked on the
 //     types-resolved reference graph.
-//   - stats: every exported field of sim.Stats must be read somewhere
-//     outside package sim, so a new counter cannot silently escape the
-//     golden comparison and the artifact serializer.
-//   - concurrency: experiments.Pool task literals with a named-but-unused
-//     ctx parameter, and locks held across Wait calls or channel
-//     operations (lock-by-value copies are go vet's copylocks check).
+//   - concurrency: experiments.Pool tasks with a named-but-unused ctx
+//     parameter, and locks held across Wait calls or channel operations
+//     (lock-by-value copies are go vet's copylocks check).
 //   - errors: unchecked or blank-assigned error returns in the I/O-handling
 //     packages (traceio, artifacts, faults).
 //
@@ -66,7 +63,6 @@ import (
 const (
 	PassDeterminism = "determinism"
 	PassFreeze      = "freeze"
-	PassStats       = "stats"
 	PassConcurrency = "concurrency"
 	PassErrors      = "errors"
 	PassHotPath     = "hotpath"
@@ -78,13 +74,6 @@ const (
 	PassPurity      = "purity"
 	PassWaiver      = "waiver"
 )
-
-// PassNames lists every selectable pass, for -only validation and docs.
-var PassNames = []string{
-	PassDeterminism, PassFreeze, PassStats, PassConcurrency, PassErrors,
-	PassHotPath, PassDTaint, PassGShare, PassGoLeak, PassCtxFlow,
-	PassKeySound, PassPurity,
-}
 
 // Diagnostic is one analyzer finding.
 type Diagnostic struct {
@@ -113,8 +102,8 @@ type FreezeRule struct {
 	Forbidden []string
 }
 
-// StatsRule requires every exported field of one struct type to be
-// referenced outside its defining package.
+// StatsRule names one result struct whose exported fields are dtaint sinks:
+// none may take map-iteration-ordered data.
 type StatsRule struct {
 	PkgPath string
 	Type    string
@@ -129,7 +118,8 @@ type KeyRule struct {
 }
 
 // Config selects what the passes enforce. The zero value runs only the
-// module-wide passes (concurrency) and whatever rules are listed.
+// module-wide passes (concurrency, gshare, goleak) and whatever rules are
+// listed.
 type Config struct {
 	// DeterministicPkgs are the import paths the determinism pass covers.
 	DeterministicPkgs []string
@@ -137,7 +127,8 @@ type Config struct {
 	ErrorPkgs []string
 	// FreezeRules are the reference-freeze rules.
 	FreezeRules []FreezeRule
-	// StatsRules are the exhaustiveness rules.
+	// StatsRules are the result structs whose exported fields are dtaint
+	// sinks.
 	StatsRules []StatsRule
 	// HotPathRoots are the entry points (pkgpath.Func, pkgpath.Type.Method;
 	// an interface method expands to every module implementation) from which
@@ -185,29 +176,12 @@ type Config struct {
 	// (the /statusz handler); impurity arriving at a sink inside their
 	// bodies is not a finding.
 	PuritySanctioned []string
-	// Only restricts the run to the named passes (empty = all). Stale-waiver
-	// accounting narrows with it: only waivers belonging to the selected
-	// passes are reported when unused, so -only composes with -strict.
-	Only []string
-}
-
-// enabled reports whether a pass is selected under cfg.Only.
-func (cfg Config) enabled(pass string) bool {
-	if len(cfg.Only) == 0 {
-		return true
-	}
-	for _, p := range cfg.Only {
-		if p == pass {
-			return true
-		}
-	}
-	return false
 }
 
 // DefaultConfig returns the repository's rules: the deterministic layers
 // from ISA to trace serialization, the golden references (two simulator
-// kernels and context discovery) frozen against their fast-path siblings, sim.Stats exhaustiveness, and error
-// hygiene in the packages that touch the filesystem.
+// kernels and context discovery) frozen against their fast-path siblings, the
+// dtaint sinks, and error hygiene in the packages that touch the filesystem.
 func DefaultConfig() Config {
 	return Config{
 		DeterministicPkgs: []string{
@@ -251,9 +225,8 @@ func DefaultConfig() Config {
 		},
 		StatsRules: []StatsRule{
 			{PkgPath: "ispy/internal/sim", Type: "Stats"},
-			// The service response is the server's sim.Stats analogue: every
-			// exported field must reach a consumer outside the package, and
-			// (dtaint) none may take map-iteration-ordered data.
+			// The service response is the server's sim.Stats analogue: none
+			// of its exported fields may take map-iteration-ordered data.
 			{PkgPath: "ispy/internal/server", Type: "AnalyzeResponse"},
 		},
 		HotPathRoots: []string{
@@ -355,36 +328,18 @@ type passResult struct {
 
 // Run executes every pass over the loaded packages and returns the sorted
 // findings. Waivers are collected from all packages first so each pass can
-// consult them; unused and malformed waivers become diagnostics themselves
-// (narrowed to the enabled passes under -only). The inter-procedural passes
-// (hotpath, dtaint, gshare, goleak, ctxflow, keysound, purity) share one
-// Analysis — the call graph and IR are built once, single-threaded, before
-// the passes fan out over a bounded worker group. The fan-out is read-only:
-// the loaded module, call graph, and IR are immutable by then, and the
-// waiver set locks its use-marking internally. Findings are concatenated in
-// canonical pass order and then position-sorted, so concurrency never
-// changes the output.
+// consult them; unused and malformed waivers become diagnostics themselves.
+// The inter-procedural passes (hotpath, dtaint, gshare, goleak, ctxflow,
+// keysound, purity) and the concurrency pass share one Analysis and one
+// spawn inventory — built once, single-threaded, before the passes fan out
+// over a bounded worker group. The fan-out is read-only: the loaded module,
+// call graph, and IR are immutable by then, and the waiver set locks its
+// use-marking internally. Findings are concatenated in canonical pass order
+// and then position-sorted, so concurrency never changes the output.
 func Run(pkgs []*Package, cfg Config) *Result {
 	ws := collectWaivers(pkgs)
-	ws.reportFor = cfg.enabled
-
-	needHot := cfg.enabled(PassHotPath) && len(cfg.HotPathRoots) > 0
-	needTaint := cfg.enabled(PassDTaint) && (len(cfg.StatsRules) > 0 || len(cfg.SinkPkgs) > 0)
-	needCtx := cfg.enabled(PassCtxFlow) && len(cfg.CtxRoots) > 0
-	needSpawn := cfg.enabled(PassGShare) || cfg.enabled(PassGoLeak)
-	needKey := cfg.enabled(PassKeySound) && len(cfg.KeyRules) > 0 &&
-		len(cfg.KeyFoldRoots) > 0 && len(cfg.ComputeRoots) > 0
-	needPure := cfg.enabled(PassPurity) &&
-		(len(cfg.PuritySinkTypes) > 0 || len(cfg.PurityRenderers) > 0)
-
-	var a *Analysis
-	var sa *spawnAnalysis
-	if needHot || needTaint || needCtx || needSpawn || needKey || needPure {
-		a = NewAnalysis(pkgs, ws)
-		if needSpawn {
-			sa = buildSpawnAnalysis(a)
-		}
-	}
+	a := NewAnalysis(pkgs, ws)
+	sa := buildSpawnAnalysis(a)
 
 	type passRun struct {
 		name string
@@ -392,7 +347,7 @@ func Run(pkgs []*Package, cfg Config) *Result {
 	}
 	var runs []passRun
 	add := func(name string, cond bool, fn func(slot *passResult)) {
-		if cond && cfg.enabled(name) {
+		if cond {
 			runs = append(runs, passRun{name, fn})
 		}
 	}
@@ -401,18 +356,17 @@ func Run(pkgs []*Package, cfg Config) *Result {
 	}
 	add(PassDeterminism, true, diagsOnly(func() []Diagnostic { return checkDeterminism(pkgs, cfg, ws) }))
 	add(PassFreeze, true, diagsOnly(func() []Diagnostic { return checkFreeze(pkgs, cfg, ws) }))
-	add(PassStats, true, diagsOnly(func() []Diagnostic { return checkStats(pkgs, cfg) }))
-	add(PassConcurrency, true, diagsOnly(func() []Diagnostic { return checkConcurrency(pkgs) }))
+	add(PassConcurrency, true, diagsOnly(func() []Diagnostic { return checkConcurrency(pkgs, sa) }))
 	add(PassErrors, true, diagsOnly(func() []Diagnostic { return checkErrors(pkgs, cfg, ws) }))
-	add(PassHotPath, needHot, diagsOnly(func() []Diagnostic { return checkHotPath(a, cfg, ws) }))
-	add(PassDTaint, needTaint, diagsOnly(func() []Diagnostic { return checkDTaint(a, cfg, ws) }))
-	add(PassGShare, needSpawn, diagsOnly(func() []Diagnostic { return checkGShare(a, sa, ws) }))
-	add(PassGoLeak, needSpawn, diagsOnly(func() []Diagnostic { return checkGoLeak(sa, ws) }))
-	add(PassCtxFlow, needCtx, diagsOnly(func() []Diagnostic { return checkCtxFlow(a, cfg, ws) }))
-	add(PassKeySound, needKey, func(slot *passResult) {
-		slot.diags, slot.cov = checkKeySound(a, cfg, ws)
-	})
-	add(PassPurity, needPure, diagsOnly(func() []Diagnostic { return checkPurity(a, cfg, ws) }))
+	add(PassHotPath, len(cfg.HotPathRoots) > 0, diagsOnly(func() []Diagnostic { return checkHotPath(a, cfg, ws) }))
+	add(PassDTaint, len(cfg.StatsRules) > 0 || len(cfg.SinkPkgs) > 0, diagsOnly(func() []Diagnostic { return checkDTaint(a, cfg, ws) }))
+	add(PassGShare, true, diagsOnly(func() []Diagnostic { return checkGShare(a, sa, ws) }))
+	add(PassGoLeak, true, diagsOnly(func() []Diagnostic { return checkGoLeak(sa, ws) }))
+	add(PassCtxFlow, len(cfg.CtxRoots) > 0, diagsOnly(func() []Diagnostic { return checkCtxFlow(a, cfg, ws) }))
+	add(PassKeySound, len(cfg.KeyRules) > 0 && len(cfg.KeyFoldRoots) > 0 && len(cfg.ComputeRoots) > 0,
+		func(slot *passResult) { slot.diags, slot.cov = checkKeySound(a, cfg, ws) })
+	add(PassPurity, len(cfg.PuritySinkTypes) > 0 || len(cfg.PurityRenderers) > 0,
+		diagsOnly(func() []Diagnostic { return checkPurity(a, cfg, ws) }))
 
 	// Bounded fan-out into per-pass slots. Workers only read the shared
 	// analysis; ordering is restored below, so scheduling cannot leak into

@@ -42,7 +42,6 @@ var fixturePkgs = []string{
 	"fixture/det",
 	"fixture/freezefix",
 	"fixture/statsdef",
-	"fixture/statsreader",
 	"fixture/internal/experiments",
 	"fixture/conc",
 	"fixture/errs",

@@ -60,12 +60,6 @@ type waiverSet struct {
 	// the set concurrently. Collection itself is single-threaded, so the
 	// byLine index is immutable by the time any pass runs.
 	mu sync.Mutex
-	// reportFor gates stale-waiver advisories per pass. A partial run
-	// (-only) leaves waivers of the de-selected passes legitimately
-	// unused, but an unused waiver of a pass that did run is still stale
-	// — so -only narrows the accounting instead of suspending it. Nil
-	// means report all.
-	reportFor func(pass string) bool
 }
 
 func collectWaivers(pkgs []*Package) *waiverSet {
@@ -174,7 +168,7 @@ func (ws *waiverSet) waive(d Diagnostic) bool {
 func (ws *waiverSet) diags() []Diagnostic {
 	out := append([]Diagnostic(nil), ws.bad...)
 	for _, w := range ws.all {
-		if !w.Used && (ws.reportFor == nil || ws.reportFor(w.Pass)) {
+		if !w.Used {
 			out = append(out, Diagnostic{Pos: w.Pos, Pass: PassWaiver, Advisory: true,
 				Message: fmt.Sprintf("unused //ispy:%s waiver: nothing to waive on this line", w.Directive)})
 		}
