@@ -1,9 +1,9 @@
 GO ?= go
 
-.PHONY: check fmtcheck vet ispyvet vetsmoke vet-waivers build test race fuzz faultsmoke chaossmoke scenariosmoke benchsmoke benchall bench
+.PHONY: check fmtcheck vet ispyvet vetsmoke vet-waivers build perfbuild test race fuzz faultsmoke chaossmoke scenariosmoke benchsmoke benchall bench
 
 # The full gate: what CI (and every PR) must pass.
-check: fmtcheck vet ispyvet vetsmoke build race fuzz faultsmoke chaossmoke scenariosmoke benchsmoke
+check: fmtcheck vet ispyvet vetsmoke build perfbuild race fuzz faultsmoke chaossmoke scenariosmoke benchsmoke
 
 # gofmt enforcement: fails listing any file that needs formatting.
 fmtcheck:
@@ -37,13 +37,19 @@ vet-waivers:
 build:
 	$(GO) build ./...
 
+# The end-to-end benchmark (_perfbench, its own module) calls internal
+# packages directly; build it so a signature change it depends on fails
+# the gate instead of the next benchmark run.
+perfbuild:
+	cd _perfbench && $(GO) build -o /dev/null .
+
 test:
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./...
 
-# Short continuous-fuzzing passes over the trace decoders and the
+# Short continuous-fuzzing passes over the artifact decoders and the
 # context-discovery fast path (differential against its frozen reference);
 # regressions land in each package's testdata/fuzz and replay as ordinary
 # tests forever after.

@@ -85,31 +85,32 @@ func collect(args []string) error {
 	if *out == "" {
 		return fmt.Errorf("collect: -o is required")
 	}
-	w := workload.Preset(*app)
-	in := workload.DefaultInput(w)
-	prof := profile.Collect(w, in, simCfgFor(w, *instrs))
-	pd := &traceio.ProfileData{
-		WorkloadName:   w.Name,
-		WorkloadSeed:   w.Params.Seed,
-		InputName:      in.Name,
-		InputSeed:      in.Seed,
-		TotalMisses:    prof.Graph.TotalMisses,
-		AvgHashDensity: prof.AvgHashDensity,
-		BaseCycles:     prof.Stats.Cycles,
-		BaseInstrs:     prof.Stats.BaseInstrs,
-		Graph:          prof.Graph,
+	w, err := preset(*app)
+	if err != nil {
+		return err
 	}
+	prof := profile.Collect(w, workload.DefaultInput(w), simCfgFor(w, *instrs))
 	f, err := os.Create(*out)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := traceio.WriteProfile(f, pd); err != nil {
+	if err := traceio.WriteProfile(f, traceio.NewProfileData(prof)); err != nil {
 		return err
 	}
 	fmt.Printf("profiled %s: %d misses over %d lines → %s\n",
 		w.Name, prof.Graph.TotalMisses, len(prof.Graph.Sites), *out)
 	return nil
+}
+
+// preset regenerates the named application's workload, or fails naming
+// the valid presets.
+func preset(name string) (*workload.Workload, error) {
+	params, err := workload.LookupParams(name)
+	if err != nil {
+		return nil, err
+	}
+	return workload.Generate(params), nil
 }
 
 // loadProfile reconstructs a live profile from a saved one by regenerating
@@ -124,19 +125,12 @@ func loadProfile(path string) (*profile.Profile, *traceio.ProfileData, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	w := workload.Preset(pd.WorkloadName)
-	if w.Params.Seed != pd.WorkloadSeed {
-		return nil, nil, fmt.Errorf("profile was collected on %s with seed %#x; preset now uses %#x",
-			pd.WorkloadName, pd.WorkloadSeed, w.Params.Seed)
+	w, err := preset(pd.WorkloadName)
+	if err != nil {
+		return nil, nil, err
 	}
-	prof := &profile.Profile{
-		Graph:          pd.Graph,
-		AvgHashDensity: pd.AvgHashDensity,
-		Stats:          &sim.Stats{Cycles: pd.BaseCycles, BaseInstrs: pd.BaseInstrs, L1IMisses: pd.TotalMisses},
-		Workload:       w,
-		Input:          workload.Input{Name: pd.InputName, Seed: pd.InputSeed},
-	}
-	return prof, pd, nil
+	prof, err := pd.Bind(w)
+	return prof, pd, err
 }
 
 func build(args []string) error {
@@ -182,7 +176,10 @@ func eval(args []string) error {
 	if *app == "" || *progPath == "" {
 		return fmt.Errorf("eval: -app and -prog are required")
 	}
-	w := workload.Preset(*app)
+	w, err := preset(*app)
+	if err != nil {
+		return err
+	}
 	f, err := os.Open(*progPath)
 	if err != nil {
 		return err

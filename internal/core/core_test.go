@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"ispy/internal/cfg"
@@ -298,6 +299,24 @@ func TestAdjustDensity(t *testing.T) {
 	}
 	if AdjustDensity(0, 16, 8) != 0 || AdjustDensity(1, 16, 8) != 1 {
 		t.Error("degenerate densities must pass through")
+	}
+	// Bit-exact pins from before AdjustDensity moved onto rng.Ln/rng.Exp:
+	// the rescaled density feeds analysis decisions, so it must not drift
+	// by even one ulp.
+	for _, c := range []struct {
+		m        float64
+		from, to int
+		want     uint64
+	}{
+		{0.3, 16, 8, 0x3fe0b38765cdc10c},
+		{0.05, 16, 64, 0x3f89794345ab6bc0},
+		{0.999, 32, 16, 0x3feffffe53f3dd10},
+		{0.5, 2, 1024, 0x3f50000000000000},
+		{1e-6, 64, 2, 0x3f071352cfbc4000},
+	} {
+		if got := math.Float64bits(AdjustDensity(c.m, c.from, c.to)); got != c.want {
+			t.Errorf("AdjustDensity(%v, %d, %d) bits = %#x, want %#x", c.m, c.from, c.to, got, c.want)
+		}
 	}
 }
 

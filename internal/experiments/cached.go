@@ -1,11 +1,12 @@
 // The bridge between the Lab and the on-disk artifact cache: every artifact
-// the harness computes flows through one of the load-or-compute helpers
-// below, which consult the cache (when configured), maintain the hit/miss/
-// bypass telemetry, and time every recomputation. The helpers never fail —
-// a broken cache entry degrades to a recompute, exactly like a cold cache.
+// the harness computes flows through cached, the one load-or-compute helper,
+// which consults the cache (when configured), maintains the hit/miss/bypass
+// telemetry, and times every recomputation. It never fails — a broken cache
+// entry degrades to a recompute, exactly like a cold cache.
 package experiments
 
 import (
+	"context"
 	"time"
 
 	"ispy/internal/artifacts"
@@ -25,64 +26,44 @@ func (a *App) key(kind string) *artifacts.Key {
 		Input(workload.DefaultInput(a.W))
 }
 
-// stats loads the run statistics for k or computes (and stores) them.
-func (l *Lab) stats(k *artifacts.Key, compute func() *sim.Stats) *sim.Stats {
-	kind := k.Kind()
-	compute = faulted(l, k, compute)
-	if !l.cache.Enabled() {
-		l.tel.CacheBypass(kind)
-		return timed(l, kind, compute)
-	}
-	if s, ok := l.cache.LoadStats(l.ctx, k); ok {
-		l.tel.CacheHit(kind)
-		l.tel.Progressf("hit      %s", k.Filename())
-		return s
-	}
-	l.tel.CacheMiss(kind)
-	s := timed(l, kind, compute)
-	l.cache.StoreStats(l.ctx, k, s)
-	return s
+// A format is how one artifact type is read from and written to the cache.
+type format[T any] struct {
+	load  func(*artifacts.Cache, context.Context, *artifacts.Key) (T, bool)
+	store func(*artifacts.Cache, context.Context, *artifacts.Key, T)
 }
 
-// profile loads the profile for k (rebinding it to the live workload and
-// input) or computes and stores it.
-func (l *Lab) profile(k *artifacts.Key, w *workload.Workload, in workload.Input, compute func() *profile.Profile) *profile.Profile {
-	kind := k.Kind()
-	compute = faulted(l, k, compute)
-	if !l.cache.Enabled() {
-		l.tel.CacheBypass(kind)
-		return timed(l, kind, compute)
+var (
+	statsFormat = format[*sim.Stats]{(*artifacts.Cache).LoadStats, (*artifacts.Cache).StoreStats}
+	buildFormat = format[*core.Build]{(*artifacts.Cache).LoadBuild, (*artifacts.Cache).StoreBuild}
+)
+
+// profileFormat binds a cached profile to the live workload and input.
+func profileFormat(w *workload.Workload, in workload.Input) format[*profile.Profile] {
+	return format[*profile.Profile]{
+		load: func(c *artifacts.Cache, ctx context.Context, k *artifacts.Key) (*profile.Profile, bool) {
+			return c.LoadProfile(ctx, k, w, in)
+		},
+		store: (*artifacts.Cache).StoreProfile,
 	}
-	if p, ok := l.cache.LoadProfile(l.ctx, k, w, in); ok {
-		l.tel.CacheHit(kind)
-		l.tel.Progressf("hit      %s", k.Filename())
-		return p
-	}
-	l.tel.CacheMiss(kind)
-	p := timed(l, kind, compute)
-	l.cache.StoreProfile(l.ctx, k, p)
-	return p
 }
 
-// build loads the analysis build for k or computes and stores it. Cached
-// builds carry the injected program and plan counters only (no analysis
-// working state); every experiment consumes exactly that subset.
-func (l *Lab) build(k *artifacts.Key, compute func() *core.Build) *core.Build {
+// cached loads the artifact for k in format f or computes (and stores) it.
+func cached[T any](l *Lab, f format[T], k *artifacts.Key, compute func() T) T {
 	kind := k.Kind()
 	compute = faulted(l, k, compute)
 	if !l.cache.Enabled() {
 		l.tel.CacheBypass(kind)
 		return timed(l, kind, compute)
 	}
-	if b, ok := l.cache.LoadBuild(l.ctx, k); ok {
+	if v, ok := f.load(l.cache, l.ctx, k); ok {
 		l.tel.CacheHit(kind)
 		l.tel.Progressf("hit      %s", k.Filename())
-		return b
+		return v
 	}
 	l.tel.CacheMiss(kind)
-	b := timed(l, kind, compute)
-	l.cache.StoreBuild(l.ctx, k, b)
-	return b
+	v := timed(l, kind, compute)
+	f.store(l.cache, l.ctx, k, v)
+	return v
 }
 
 // faulted interposes the lab's fault injector (when configured) at the
@@ -120,7 +101,7 @@ func (a *App) ISPYVariant(opt core.Options, cfg sim.Config) (*core.Build, *sim.S
 	}
 	b := a.variantBuild(opt)
 	k := a.key("ispy-variant-run").SimConfig(a.SimCfg()).Options(opt).SimConfig(cfg)
-	st := a.lab.stats(k, func() *sim.Stats { return a.Run(b.Prog, cfg) })
+	st := cached(a.lab, statsFormat, k, func() *sim.Stats { return a.Run(b.Prog, cfg) })
 	return b, st
 }
 
@@ -131,14 +112,14 @@ func (a *App) ISPYVariantStats(opt core.Options, cfg sim.Config) *sim.Stats {
 		cfg.HashBits = opt.HashBits
 	}
 	k := a.key("ispy-variant-run").SimConfig(a.SimCfg()).Options(opt).SimConfig(cfg)
-	return a.lab.stats(k, func() *sim.Stats {
+	return cached(a.lab, statsFormat, k, func() *sim.Stats {
 		return a.Run(a.variantBuild(opt).Prog, cfg)
 	})
 }
 
 func (a *App) variantBuild(opt core.Options) *core.Build {
 	k := a.key("ispy-variant-build").SimConfig(a.SimCfg()).Options(opt)
-	return a.lab.build(k, func() *core.Build {
+	return cached(a.lab, buildFormat, k, func() *core.Build {
 		return core.BuildFromPrepared(a.Profile(), a.Prepared(), opt)
 	})
 }
@@ -152,7 +133,7 @@ func (a *App) FreshVariantStats(opt core.Options, buildCfg, runCfg sim.Config) *
 		runCfg.HashBits = opt.HashBits
 	}
 	k := a.key("ispy-fresh-run").SimConfig(buildCfg).Options(opt).SimConfig(runCfg)
-	return a.lab.stats(k, func() *sim.Stats {
+	return cached(a.lab, statsFormat, k, func() *sim.Stats {
 		b := core.BuildISPY(a.Profile(), buildCfg, opt)
 		return a.Run(b.Prog, runCfg)
 	})
@@ -162,12 +143,12 @@ func (a *App) FreshVariantStats(opt core.Options, buildCfg, runCfg sim.Config) *
 // caching both artifacts per threshold.
 func (a *App) AsmDBAt(threshold float64) (*core.Build, *sim.Stats) {
 	bk := a.key("asmdb-th-build").SimConfig(a.SimCfg()).Options(core.DefaultOptions()).Float(threshold)
-	b := a.lab.build(bk, func() *core.Build {
+	b := cached(a.lab, buildFormat, bk, func() *core.Build {
 		return asmdb.Build(a.Profile(), threshold, core.DefaultOptions())
 	})
 	runCfg := asmdb.RunConfig(a.SimCfg())
 	rk := a.key("asmdb-th-run").SimConfig(a.SimCfg()).Options(core.DefaultOptions()).Float(threshold).SimConfig(runCfg)
-	st := a.lab.stats(rk, func() *sim.Stats { return a.Run(b.Prog, runCfg) })
+	st := cached(a.lab, statsFormat, rk, func() *sim.Stats { return a.Run(b.Prog, runCfg) })
 	return b, st
 }
 
@@ -178,5 +159,5 @@ func (a *App) AsmDBAt(threshold float64) (*core.Build, *sim.Stats) {
 // in full, including any profile-derived prefetch mask.
 func (a *App) RunCachedInput(kind string, prog *isa.Program, cfg sim.Config, in workload.Input) *sim.Stats {
 	k := artifacts.NewKey(kind, a.Name).Params(a.W.Params).SimConfig(cfg).Input(in)
-	return a.lab.stats(k, func() *sim.Stats { return a.RunInput(prog, cfg, in) })
+	return cached(a.lab, statsFormat, k, func() *sim.Stats { return a.RunInput(prog, cfg, in) })
 }

@@ -399,7 +399,7 @@ func (a *App) RunInput(prog *isa.Program, cfg sim.Config, in workload.Input) *si
 func (a *App) Base() *sim.Stats {
 	return a.base.get(func() *sim.Stats {
 		cfg := a.SimCfg()
-		return a.lab.stats(a.key("base").SimConfig(cfg), func() *sim.Stats {
+		return cached(a.lab, statsFormat, a.key("base").SimConfig(cfg), func() *sim.Stats {
 			return a.Run(a.W.Prog, cfg)
 		})
 	})
@@ -410,7 +410,7 @@ func (a *App) Ideal() *sim.Stats {
 	return a.ideal.get(func() *sim.Stats {
 		cfg := a.SimCfg()
 		cfg.Ideal = true
-		return a.lab.stats(a.key("ideal").SimConfig(cfg), func() *sim.Stats {
+		return cached(a.lab, statsFormat, a.key("ideal").SimConfig(cfg), func() *sim.Stats {
 			return a.Run(a.W.Prog, cfg)
 		})
 	})
@@ -421,7 +421,7 @@ func (a *App) Profile() *profile.Profile {
 	return a.prof.get(func() *profile.Profile {
 		cfg := a.SimCfg()
 		in := workload.DefaultInput(a.W)
-		return a.lab.profile(a.key("profile").SimConfig(cfg), a.W, in, func() *profile.Profile {
+		return cached(a.lab, profileFormat(a.W, in), a.key("profile").SimConfig(cfg), func() *profile.Profile {
 			return profile.Collect(a.W, in, cfg)
 		})
 	})
@@ -431,7 +431,7 @@ func (a *App) Profile() *profile.Profile {
 func (a *App) AsmDB() *core.Build {
 	return a.asmdbB.get(func() *core.Build {
 		k := a.key("asmdb-build").SimConfig(a.SimCfg()).Options(core.DefaultOptions())
-		return a.lab.build(k, func() *core.Build {
+		return cached(a.lab, buildFormat, k, func() *core.Build {
 			return asmdb.BuildDefault(a.Profile(), core.DefaultOptions())
 		})
 	})
@@ -443,7 +443,7 @@ func (a *App) AsmDBStats() *sim.Stats {
 	return a.asmdbStat.get(func() *sim.Stats {
 		runCfg := asmdb.RunConfig(a.SimCfg())
 		k := a.key("asmdb-run").SimConfig(a.SimCfg()).Options(core.DefaultOptions()).SimConfig(runCfg)
-		return a.lab.stats(k, func() *sim.Stats {
+		return cached(a.lab, statsFormat, k, func() *sim.Stats {
 			return a.Run(a.AsmDB().Prog, runCfg)
 		})
 	})
@@ -465,7 +465,7 @@ func (a *App) Prepared() *core.Prepared {
 func (a *App) ISPY() *core.Build {
 	return a.ispyB.get(func() *core.Build {
 		k := a.key("ispy-build").SimConfig(a.SimCfg()).Options(core.DefaultOptions())
-		return a.lab.build(k, func() *core.Build {
+		return cached(a.lab, buildFormat, k, func() *core.Build {
 			return core.BuildFromPrepared(a.Profile(), a.Prepared(), core.DefaultOptions())
 		})
 	})
@@ -476,7 +476,7 @@ func (a *App) ISPYStats() *sim.Stats {
 	return a.ispyStat.get(func() *sim.Stats {
 		cfg := a.SimCfg()
 		k := a.key("ispy-run").SimConfig(cfg).Options(core.DefaultOptions())
-		return a.lab.stats(k, func() *sim.Stats {
+		return cached(a.lab, statsFormat, k, func() *sim.Stats {
 			return a.Run(a.ISPY().Prog, cfg)
 		})
 	})

@@ -14,6 +14,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"strings"
 
@@ -87,7 +88,7 @@ func (l *Lab) runScenario(spec *traffic.Spec, tr *traceio.ScenarioTrace) (*Scena
 
 	baseKey := artifacts.NewKey("scenario-base", spec.Name).
 		Str(spec.Material()).Uint(traceHash).SimConfig(cfg)
-	base := l.scenario(baseKey, func() scenarioRun { return run(world.Prog) })
+	base := cached(l, scenarioFormat, baseKey, func() scenarioRun { return run(world.Prog) })
 	res.Base, res.BaseRows = base.St, base.Rows
 
 	// The I-SPY variant: per-app injected programs (cached single-tenant
@@ -102,7 +103,7 @@ func (l *Lab) runScenario(spec *traffic.Spec, tr *traceio.ScenarioTrace) (*Scena
 		ispyKey = ispyKey.Str(name).Params(a.W.Params).Input(workload.DefaultInput(a.W)).
 			SimConfig(a.SimCfg()).Options(core.DefaultOptions())
 	}
-	ispy := l.scenario(ispyKey, func() scenarioRun {
+	ispy := cached(l, scenarioFormat, ispyKey, func() scenarioRun {
 		progByApp := make(map[string]*isa.Program, len(apps))
 		for _, name := range apps {
 			progByApp[name] = l.App(name).ISPY().Prog
@@ -129,23 +130,14 @@ type scenarioRun struct {
 	Rows []traffic.TenantRow
 }
 
-// scenario loads the scenario run for k or computes (and stores) it.
-func (l *Lab) scenario(k *artifacts.Key, compute func() scenarioRun) scenarioRun {
-	kind := k.Kind()
-	compute = faulted(l, k, compute)
-	if !l.cache.Enabled() {
-		l.tel.CacheBypass(kind)
-		return timed(l, kind, compute)
-	}
-	if s, rows, ok := l.cache.LoadScenario(l.ctx, k); ok {
-		l.tel.CacheHit(kind)
-		l.tel.Progressf("hit      %s", k.Filename())
-		return scenarioRun{St: s, Rows: rows}
-	}
-	l.tel.CacheMiss(kind)
-	v := timed(l, kind, compute)
-	l.cache.StoreScenario(l.ctx, k, v.St, v.Rows)
-	return v
+var scenarioFormat = format[scenarioRun]{
+	load: func(c *artifacts.Cache, ctx context.Context, k *artifacts.Key) (scenarioRun, bool) {
+		s, rows, ok := c.LoadScenario(ctx, k)
+		return scenarioRun{St: s, Rows: rows}, ok
+	},
+	store: func(c *artifacts.Cache, ctx context.Context, k *artifacts.Key, v scenarioRun) {
+		c.StoreScenario(ctx, k, v.St, v.Rows)
+	},
 }
 
 // Render formats the scenario report: per-tenant rows, per-SLO-class

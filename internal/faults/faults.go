@@ -17,7 +17,6 @@ package faults
 
 import (
 	"fmt"
-	"io"
 	"path"
 	"strconv"
 	"strings"
@@ -154,7 +153,7 @@ func (in *Injector) fire(site string) (Rule, bool) {
 		if r.Count > 0 && r.fired >= r.Count {
 			return Rule{}, false
 		}
-		if p := r.Prob; p > 0 && p < 1 && uniform(in.seed, site, n) >= p {
+		if p := r.Prob; p > 0 && p < 1 && hashx.Uniform(in.seed, site, n) >= p {
 			return Rule{}, false
 		}
 		r.fired++
@@ -162,18 +161,6 @@ func (in *Injector) fire(site string) (Rule, bool) {
 		return r.Rule, true
 	}
 	return Rule{}, false
-}
-
-// uniform maps (seed, site, hit) to [0,1) deterministically.
-func uniform(seed uint64, site string, n uint64) float64 {
-	x := seed ^ hashx.FNV1a64([]byte(site)) ^ (n * 0x9e3779b97f4a7c15)
-	// splitmix64 finalizer.
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
 }
 
 // Hit evaluates one hit of a compute-style site: Error (and ShortWrite/
@@ -247,60 +234,6 @@ func (r Rule) delay() time.Duration {
 		return r.Delay
 	}
 	return defaultDelay
-}
-
-// Reader wraps r so every Read consults the injector at site (Error fails
-// the read, Corrupt flips a byte of what was read, Latency sleeps).
-func (in *Injector) Reader(site string, r io.Reader) io.Reader {
-	if in == nil {
-		return r
-	}
-	return &faultReader{in: in, site: site, r: r}
-}
-
-type faultReader struct {
-	in   *Injector
-	site string
-	r    io.Reader
-}
-
-func (fr *faultReader) Read(p []byte) (int, error) {
-	n, err := fr.r.Read(p)
-	if n > 0 {
-		mut, ferr := fr.in.ReadBytes(fr.site, p[:n])
-		if ferr != nil {
-			return 0, ferr
-		}
-		copy(p[:n], mut)
-	}
-	return n, err
-}
-
-// Writer wraps w so every Write consults the injector at site (Error fails
-// the write, ShortWrite tears it, Latency sleeps).
-func (in *Injector) Writer(site string, w io.Writer) io.Writer {
-	if in == nil {
-		return w
-	}
-	return &faultWriter{in: in, site: site, w: w}
-}
-
-type faultWriter struct {
-	in   *Injector
-	site string
-	w    io.Writer
-}
-
-func (fw *faultWriter) Write(p []byte) (int, error) {
-	out, ferr := fw.in.WriteBytes(fw.site, p)
-	if ferr != nil {
-		return 0, ferr
-	}
-	n, err := fw.w.Write(out)
-	if err == nil && n < len(p) {
-		return n, io.ErrShortWrite
-	}
-	return n, err
 }
 
 // Events returns a copy of the fired-fault log.

@@ -3,7 +3,6 @@ package faults
 import (
 	"bytes"
 	"errors"
-	"io"
 	"strings"
 	"testing"
 	"time"
@@ -20,10 +19,6 @@ func TestNilInjectorIsNoOp(t *testing.T) {
 	}
 	if in.Events() != nil || in.Fired("*") != 0 {
 		t.Error("nil injector reported events")
-	}
-	var buf bytes.Buffer
-	if in.Writer("x", &buf) != io.Writer(&buf) {
-		t.Error("nil Writer should return the underlying writer")
 	}
 }
 
@@ -176,31 +171,6 @@ func TestLatencyDelays(t *testing.T) {
 	}
 	if d := time.Since(start); d < 5*time.Millisecond {
 		t.Errorf("latency rule slept only %v", d)
-	}
-}
-
-func TestReaderWriterWrappers(t *testing.T) {
-	in := New(1)
-	in.Enable("io.read", Rule{Kind: Corrupt})
-	var got bytes.Buffer
-	if _, err := io.Copy(&got, in.Reader("io.read", strings.NewReader("payload"))); err != nil {
-		t.Fatal(err)
-	}
-	if got.String() == "payload" {
-		t.Error("wrapped reader did not corrupt")
-	}
-	if got.Len() != len("payload") {
-		t.Errorf("corrupt read changed length: %d", got.Len())
-	}
-
-	in2 := New(1)
-	in2.Enable("io.write", Rule{Kind: Error})
-	var sink bytes.Buffer
-	if _, err := in2.Writer("io.write", &sink).Write([]byte("x")); err == nil {
-		t.Error("wrapped writer did not fail")
-	}
-	if sink.Len() != 0 {
-		t.Error("failed write reached the sink")
 	}
 }
 

@@ -56,6 +56,21 @@ func Murmur3Fmix64(v uint64) uint64 {
 	return v
 }
 
+// Uniform maps (seed, site, n) to [0,1) deterministically: the site name's
+// FNV-1a digest and the counter are folded into the seed and mixed with the
+// splitmix64 finalizer. The fault injector's firing decisions and the retry
+// layer's backoff jitter both draw from it, so a chaos run replays exactly
+// under the same seed.
+func Uniform(seed uint64, site string, n uint64) float64 {
+	x := seed ^ FNV1a64([]byte(site)) ^ (n * 0x9e3779b97f4a7c15)
+	x ^= x >> 30
+	x *= 0xbf58476d1ce4e5b9
+	x ^= x >> 27
+	x *= 0x94d049bb133111eb
+	x ^= x >> 31
+	return float64(x>>11) / float64(1<<53)
+}
+
 // Murmur3_32 implements the full 32-bit MurmurHash3 (x86_32 variant) over a
 // byte slice with the given seed.
 func Murmur3_32(b []byte, seed uint32) uint32 {

@@ -52,22 +52,6 @@ func Mean(xs []float64) float64 {
 	return s / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of positive values (0 if any input is
-// non-positive or the slice is empty).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	logSum := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0
-		}
-		logSum += ln(x)
-	}
-	return exp(logSum / float64(len(xs)))
-}
-
 // Min and Max return the extrema (0 for empty input).
 func Min(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -94,54 +78,6 @@ func Max(xs []float64) float64 {
 		}
 	}
 	return m
-}
-
-// ln/exp: minimal stdlib-free implementations (mirrors internal/rng; kept
-// local to avoid exporting them from rng).
-func ln(x float64) float64 {
-	k := 0
-	for x >= 2 {
-		x /= 2
-		k++
-	}
-	for x < 0.5 {
-		x *= 2
-		k--
-	}
-	const ln2 = 0.6931471805599453
-	y := (x - 1) / (x + 1)
-	y2 := y * y
-	term := y
-	sum := 0.0
-	for i := 1; i < 60; i += 2 {
-		sum += term / float64(i)
-		term *= y2
-	}
-	return 2*sum + float64(k)*ln2
-}
-
-func exp(x float64) float64 {
-	neg := x < 0
-	if neg {
-		x = -x
-	}
-	n := 0
-	for x > 0.5 {
-		x /= 2
-		n++
-	}
-	sum, term := 1.0, 1.0
-	for i := 1; i < 30; i++ {
-		term *= x / float64(i)
-		sum += term
-	}
-	for i := 0; i < n; i++ {
-		sum *= sum
-	}
-	if neg {
-		return 1 / sum
-	}
-	return sum
 }
 
 // Table is a simple fixed-column text table.

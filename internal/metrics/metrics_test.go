@@ -50,24 +50,6 @@ func TestMeanMinMax(t *testing.T) {
 	}
 }
 
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-9 {
-		t.Errorf("GeoMean = %v", got)
-	}
-	if GeoMean([]float64{1, -1}) != 0 {
-		t.Error("non-positive guard")
-	}
-	if GeoMean(nil) != 0 {
-		t.Error("empty guard")
-	}
-	// Cross-check ln/exp against stdlib through GeoMean.
-	xs := []float64{1.7, 0.4, 12.5, 3.3}
-	want := math.Exp((math.Log(1.7) + math.Log(0.4) + math.Log(12.5) + math.Log(3.3)) / 4)
-	if got := GeoMean(xs); math.Abs(got-want)/want > 1e-8 {
-		t.Errorf("GeoMean = %v, want %v", got, want)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("app", "value")
 	tb.AddRow("wordpress", "15.5%")

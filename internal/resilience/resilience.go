@@ -5,10 +5,11 @@
 // hammering it.
 //
 // Determinism: the backoff schedule — including jitter — is a pure function
-// of (seed, site, attempt), reusing the splitmix finalizer the fault injector
-// uses for its firing decisions, so a retried chaos run replays the same wait
-// pattern under the same seed. Nothing in the retry path reads the wall
-// clock; deadlines are observed only through the context.
+// of (seed, site, attempt) drawn from hashx.Uniform, which the fault
+// injector also uses for its firing decisions, so a retried chaos run
+// replays the same wait pattern under the same seed. Nothing in the retry
+// path reads the wall clock; deadlines are observed only through the
+// context.
 //
 // The breaker is the one component that does consult time (its cooldown is a
 // wall-clock interval); the clock is injectable so tests stay deterministic.
@@ -86,23 +87,10 @@ func (p Policy) Backoff(site string, attempt int) time.Duration {
 	if p.Jitter > 0 {
 		// Deterministic jitter in [1-Jitter, 1): same (seed, site, attempt)
 		// → same wait, so chaos runs replay exactly.
-		u := uniform(p.Seed, site, uint64(attempt))
+		u := hashx.Uniform(p.Seed, site, uint64(attempt))
 		d *= 1 - p.Jitter*u
 	}
 	return time.Duration(d)
-}
-
-// uniform maps (seed, site, n) to [0,1) with the same splitmix64 finalizer
-// the fault injector uses, keeping every seeded decision in the repo on one
-// primitive.
-func uniform(seed uint64, site string, n uint64) float64 {
-	x := seed ^ hashx.FNV1a64([]byte(site)) ^ (n * 0x9e3779b97f4a7c15)
-	x ^= x >> 30
-	x *= 0xbf58476d1ce4e5b9
-	x ^= x >> 27
-	x *= 0x94d049bb133111eb
-	x ^= x >> 31
-	return float64(x>>11) / float64(1<<53)
 }
 
 // permanentError marks an error Retry must not retry.

@@ -156,14 +156,15 @@ func powF(base, exp float64) float64 {
 		}
 		return r
 	}
-	return expF(exp * lnF(base))
+	return Exp(exp * Ln(base))
 }
 
-// lnF computes the natural log with the atanh series (adequate precision for
-// weights).
-func lnF(x float64) float64 {
+// Ln computes the natural log with the atanh series. It is bit-exact across
+// platforms and Go versions (math.Log is not guaranteed to be), which is why
+// every seeded computation in the module takes its logarithms from here.
+func Ln(x float64) float64 {
 	if x <= 0 {
-		panic("rng: lnF domain")
+		panic("rng: Ln domain")
 	}
 	// Normalize x into [0.5, 2) collecting powers of 2.
 	k := 0
@@ -187,8 +188,8 @@ func lnF(x float64) float64 {
 	return 2*sum + float64(k)*ln2
 }
 
-// expF computes e^x by scaling and Taylor series.
-func expF(x float64) float64 {
+// Exp computes e^x by scaling and Taylor series; bit-exact like Ln.
+func Exp(x float64) float64 {
 	neg := x < 0
 	if neg {
 		x = -x

@@ -292,7 +292,7 @@ func (s *Server) serveAnalyze(w http.ResponseWriter, r *http.Request) (int, bool
 			return s.analyzeScenario(ctx, spec, req.Instrs)
 		})
 	}
-	if err := knownApp(req.App); err != nil {
+	if _, err := lookupApp(req.App); err != nil {
 		return s.writeFailure(w, err), false
 	}
 	ctx, cancel, _ := s.deadline(r, req.TimeoutMillis)
@@ -325,7 +325,7 @@ func (s *Server) serveProfileAnalyze(w http.ResponseWriter, r *http.Request) (in
 	if err != nil {
 		return writeError(w, http.StatusBadRequest, "bad_profile", err.Error()), false
 	}
-	prof, err := rebindProfile(pd)
+	prof, err := bindProfile(pd)
 	if err != nil {
 		return s.writeFailure(w, err), false
 	}
@@ -338,7 +338,8 @@ func (s *Server) serveProfileAnalyze(w http.ResponseWriter, r *http.Request) (in
 
 // respond runs the pipeline in its own goroutine so an expired deadline
 // answers immediately — the straggling attempt finishes (and is abandoned)
-// in the background; its cache stores no-op under the dead context.
+// in the background; its cache stores no-op under the dead context. A panic
+// in the pipeline answers a structured 500 "internal".
 func (s *Server) respond(ctx context.Context, w http.ResponseWriter, run func(context.Context) (*AnalyzeResponse, error)) (int, bool) {
 	type result struct {
 		resp *AnalyzeResponse
@@ -347,6 +348,12 @@ func (s *Server) respond(ctx context.Context, w http.ResponseWriter, run func(co
 	ch := make(chan result, 1)
 	//ispy:detach the response straggler is abandoned by design when the deadline expires; its ctx is dead so downstream work no-ops (DESIGN.md §12)
 	go func() {
+		// Unrecovered, a panic on this goroutine would kill the process.
+		defer func() {
+			if p := recover(); p != nil {
+				ch <- result{err: fmt.Errorf("server: analysis panicked: %v", p)}
+			}
+		}()
 		resp, err := run(ctx)
 		ch <- result{resp, err}
 	}()
@@ -408,26 +415,22 @@ func writeError(w http.ResponseWriter, status int, code, msg string) int {
 	return status
 }
 
-// rebindProfile reconstructs a live profile from an uploaded one by
-// regenerating the deterministic workload it names (cmd/ispy-profile uses
-// the same convention for on-disk profiles).
-func rebindProfile(pd *traceio.ProfileData) (*profile.Profile, error) {
-	if err := knownApp(pd.WorkloadName); err != nil {
+// bindProfile binds an uploaded profile to the workload it names,
+// regenerated from its preset: an unknown app is a 404, a profile collected
+// on another seed a 422, and a graph that does not fit the program a 400.
+func bindProfile(pd *traceio.ProfileData) (*profile.Profile, error) {
+	params, err := lookupApp(pd.WorkloadName)
+	if err != nil {
 		return nil, err
 	}
-	w := workload.Preset(pd.WorkloadName)
-	if w.Params.Seed != pd.WorkloadSeed {
-		return nil, &apiError{status: http.StatusUnprocessableEntity, code: "stale_profile",
-			msg: fmt.Sprintf("profile was collected on %s with seed %#x; preset now uses %#x",
-				pd.WorkloadName, pd.WorkloadSeed, w.Params.Seed)}
+	prof, err := pd.Bind(workload.Generate(params))
+	switch {
+	case errors.Is(err, traceio.ErrStaleProfile):
+		return nil, &apiError{status: http.StatusUnprocessableEntity, code: "stale_profile", msg: err.Error()}
+	case err != nil:
+		return nil, &apiError{status: http.StatusBadRequest, code: "bad_profile", msg: err.Error()}
 	}
-	return &profile.Profile{
-		Graph:          pd.Graph,
-		AvgHashDensity: pd.AvgHashDensity,
-		Stats:          &sim.Stats{Cycles: pd.BaseCycles, BaseInstrs: pd.BaseInstrs, L1IMisses: pd.TotalMisses},
-		Workload:       w,
-		Input:          workload.Input{Name: pd.InputName, Seed: pd.InputSeed},
-	}, nil
+	return prof, nil
 }
 
 // analyzeProfile serves an uploaded profile: the analysis runs over the

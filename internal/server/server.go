@@ -34,12 +34,10 @@ import (
 	"time"
 
 	"ispy/internal/artifacts"
-	"ispy/internal/core"
 	"ispy/internal/experiments"
 	"ispy/internal/faults"
 	"ispy/internal/metrics"
 	"ispy/internal/resilience"
-	"ispy/internal/sim"
 	"ispy/internal/traffic"
 	"ispy/internal/workload"
 )
@@ -221,73 +219,46 @@ func (s *Server) labConfig(apps []string, instrs uint64) experiments.Config {
 }
 
 // analyzeApp runs the full pipeline (baseline run, I-SPY analysis +
-// coalescing + injection, evaluation run) for one app under ctx, retrying
-// transient failures. Each attempt gets a fresh lab; the artifact cache is
-// bypassed while the circuit is open.
+// coalescing + injection, evaluation run) for one app under ctx.
 func (s *Server) analyzeApp(ctx context.Context, app string, instrs uint64) (*AnalyzeResponse, error) {
-	if err := knownApp(app); err != nil {
-		return nil, err
-	}
-	lcfg := s.labConfig([]string{app}, instrs)
-
-	var resp *AnalyzeResponse
-	op := func(ctx context.Context) error {
-		cache := s.cache
-		if cache != nil && !s.breaker.Allow() {
-			cache = nil
-			s.reqs.Degraded()
-			s.logf("circuit open: serving %s without the artifact cache", app)
-		}
-		lab := experiments.NewLabShared(ctx, lcfg, experiments.Shared{
-			Pool: s.pool, Cache: cache, Telemetry: s.tel,
+	return s.retried(ctx, s.labConfig([]string{app}, instrs), app, "serve/analyze", "serve/"+app, app,
+		func(lab *experiments.Lab) (*AnalyzeResponse, error) {
+			a := lab.App(app)
+			base, build, ispy := a.Base(), a.ISPY(), a.ISPYStats()
+			return newAnalyzeResponse(app, lab.Cfg.MeasureInstrs, base, ispy, build.Plan), nil
 		})
-		if err := lab.Validate(); err != nil {
-			return resilience.Permanent(&apiError{status: http.StatusBadRequest, code: "bad_config", msg: err.Error()})
-		}
-		a := lab.App(app)
-		var base, ispy *sim.Stats
-		var build *core.Build
-		err := lab.Attempt(app, "serve/analyze", func() error {
-			base = a.Base()
-			build = a.ISPY()
-			ispy = a.ISPYStats()
-			return nil
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				// The deadline, not the fault, is what the client should
-				// see; retrying against a dead context cannot succeed.
-				return resilience.Permanent(context.Cause(ctx))
-			}
-			return err
-		}
-		resp = newAnalyzeResponse(app, lcfg.MeasureInstrs, base, ispy, build.Plan)
-		return nil
-	}
-	err := resilience.Retry(ctx, s.cfg.Retry, "serve/"+app, op, func(attempt int, delay time.Duration) {
-		s.reqs.Retry()
-		s.logf("retrying %s (attempt %d failed; backing off %v)", app, attempt, delay)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
 }
 
-// analyzeScenario evaluates a multi-tenant traffic scenario under ctx with
-// the same retry and circuit-breaker treatment as analyzeApp. The scenario
-// composition is seeded by the spec, so the response is a pure function of
-// (scenario, instrs) and chaos-degraded responses stay byte-identical.
+// analyzeScenario evaluates a multi-tenant traffic scenario under ctx. The
+// scenario composition is seeded by the spec, so the response is a pure
+// function of (scenario, instrs) and chaos-degraded responses stay
+// byte-identical.
 func (s *Server) analyzeScenario(ctx context.Context, spec *traffic.Spec, instrs uint64) (*AnalyzeResponse, error) {
-	lcfg := s.labConfig(spec.Apps(), instrs)
+	return s.retried(ctx, s.labConfig(spec.Apps(), instrs), spec.Name, "serve/scenario",
+		"serve/scenario/"+spec.Name, fmt.Sprintf("scenario %q", spec.Name),
+		func(lab *experiments.Lab) (*AnalyzeResponse, error) {
+			res, err := lab.Scenario(spec)
+			if err != nil {
+				return nil, err
+			}
+			return newScenarioResponse(lab.Cfg.MeasureInstrs, res), nil
+		})
+}
 
+// retried is the envelope every lab-backed analysis runs in: run executes
+// inside lab.Attempt(name, stage) and transient failures are retried at
+// the retry site. Each attempt gets a fresh lab over the shared pool and
+// telemetry, and the artifact cache is bypassed while the circuit is open.
+// subject names the work in log lines.
+func (s *Server) retried(ctx context.Context, lcfg experiments.Config, name, stage, site, subject string,
+	run func(*experiments.Lab) (*AnalyzeResponse, error)) (*AnalyzeResponse, error) {
 	var resp *AnalyzeResponse
 	op := func(ctx context.Context) error {
 		cache := s.cache
 		if cache != nil && !s.breaker.Allow() {
 			cache = nil
 			s.reqs.Degraded()
-			s.logf("circuit open: serving scenario %q without the artifact cache", spec.Name)
+			s.logf("circuit open: serving %s without the artifact cache", subject)
 		}
 		lab := experiments.NewLabShared(ctx, lcfg, experiments.Shared{
 			Pool: s.pool, Cache: cache, Telemetry: s.tel,
@@ -295,27 +266,20 @@ func (s *Server) analyzeScenario(ctx context.Context, spec *traffic.Spec, instrs
 		if err := lab.Validate(); err != nil {
 			return resilience.Permanent(&apiError{status: http.StatusBadRequest, code: "bad_config", msg: err.Error()})
 		}
-		var res *experiments.ScenarioResult
-		err := lab.Attempt(spec.Name, "serve/scenario", func() error {
-			r, rerr := lab.Scenario(spec)
-			if rerr != nil {
-				return rerr
-			}
-			res = r
-			return nil
-		})
-		if err != nil {
-			if ctx.Err() != nil {
-				return resilience.Permanent(context.Cause(ctx))
-			}
+		err := lab.Attempt(name, stage, func() (err error) {
+			resp, err = run(lab)
 			return err
+		})
+		if err != nil && ctx.Err() != nil {
+			// The deadline, not the fault, is what the client should see;
+			// retrying against a dead context cannot succeed.
+			return resilience.Permanent(context.Cause(ctx))
 		}
-		resp = newScenarioResponse(lcfg.MeasureInstrs, res)
-		return nil
+		return err
 	}
-	err := resilience.Retry(ctx, s.cfg.Retry, "serve/scenario/"+spec.Name, op, func(attempt int, delay time.Duration) {
+	err := resilience.Retry(ctx, s.cfg.Retry, site, op, func(attempt int, delay time.Duration) {
 		s.reqs.Retry()
-		s.logf("retrying scenario %q (attempt %d failed; backing off %v)", spec.Name, attempt, delay)
+		s.logf("retrying %s (attempt %d failed; backing off %v)", subject, attempt, delay)
 	})
 	if err != nil {
 		return nil, err
@@ -323,16 +287,15 @@ func (s *Server) analyzeScenario(ctx context.Context, spec *traffic.Spec, instrs
 	return resp, nil
 }
 
-// knownApp validates an app name against the workload presets.
-func knownApp(app string) error {
+// lookupApp resolves an app name against the workload presets.
+func lookupApp(app string) (workload.Params, error) {
 	if app == "" {
-		return &apiError{status: http.StatusBadRequest, code: "bad_request", msg: "missing app name"}
+		return workload.Params{}, &apiError{status: http.StatusBadRequest, code: "bad_request", msg: "missing app name"}
 	}
-	for _, n := range workload.AppNames {
-		if n == app {
-			return nil
-		}
+	p, err := workload.LookupParams(app)
+	if err != nil {
+		return p, &apiError{status: http.StatusNotFound, code: "unknown_app",
+			msg: fmt.Sprintf("unknown app %q (valid: cassandra…wordpress; see /statusz)", app)}
 	}
-	return &apiError{status: http.StatusNotFound, code: "unknown_app",
-		msg: fmt.Sprintf("unknown app %q (valid: cassandra…wordpress; see /statusz)", app)}
+	return p, nil
 }

@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"ispy/internal/cfg"
 	"ispy/internal/experiments"
 	"ispy/internal/faults"
 	"ispy/internal/profile"
@@ -381,18 +383,7 @@ func TestProfileUploadMatchesCollectedProfile(t *testing.T) {
 	prof := profile.Collect(w, in, scfg)
 
 	var buf bytes.Buffer
-	pd := &traceio.ProfileData{
-		WorkloadName:   w.Name,
-		WorkloadSeed:   w.Params.Seed,
-		InputName:      in.Name,
-		InputSeed:      in.Seed,
-		TotalMisses:    prof.Graph.TotalMisses,
-		AvgHashDensity: prof.AvgHashDensity,
-		BaseCycles:     prof.Stats.Cycles,
-		BaseInstrs:     prof.Stats.BaseInstrs,
-		Graph:          prof.Graph,
-	}
-	if err := traceio.WriteProfile(&buf, pd); err != nil {
+	if err := traceio.WriteProfile(&buf, traceio.NewProfileData(prof)); err != nil {
 		t.Fatal(err)
 	}
 
@@ -429,6 +420,94 @@ func TestProfileUploadMatchesCollectedProfile(t *testing.T) {
 	}
 	if msg, ok := structuredError(rec.Body.Bytes()); !ok || !strings.HasPrefix(msg, "bad_profile") {
 		t.Fatalf("garbage profile body = %s", rec.Body)
+	}
+}
+
+// TestTamperedProfileUploadsAreStructured4xx: an uploaded profile is
+// untrusted input. One whose graph references blocks outside the program it
+// names used to panic inside site selection, on the goroutine respond
+// spawns — killing the whole process. Every such upload must instead get a
+// structured bad_profile 400; identity failures keep their own codes.
+func TestTamperedProfileUploadsAreStructured4xx(t *testing.T) {
+	w := workload.Preset("verilator")
+	scfg := sim.Default().WithWorkloadCPI(w.Params.BackendCPI)
+	scfg.MaxInstrs = 60_000
+	scfg.WarmupInstrs = 20_000
+	var good bytes.Buffer
+	if err := traceio.WriteProfile(&good, traceio.NewProfileData(profile.Collect(w, workload.DefaultInput(w), scfg))); err != nil {
+		t.Fatal(err)
+	}
+	nb := int32(len(w.Prog.Blocks))
+	s := newTestServer(t, testConfig(t))
+	for _, c := range []struct {
+		name   string
+		tamper func(pd *traceio.ProfileData)
+		status int
+		code   string
+	}{
+		{"site block out of range", func(pd *traceio.ProfileData) {
+			site := pd.Graph.SortedSites()[0]
+			delete(pd.Graph.Sites, site.Key)
+			site.Key.Block = nb + 5
+			pd.Graph.Sites[site.Key] = site
+		}, http.StatusBadRequest, "bad_profile"},
+		{"pred block out of range", func(pd *traceio.ProfileData) {
+			for _, site := range pd.Graph.Sites {
+				for _, smp := range site.Samples {
+					for i := range smp.Preds {
+						smp.Preds[i].Block = 1 << 28
+					}
+				}
+			}
+		}, http.StatusBadRequest, "bad_profile"},
+		{"edge target out of range", func(pd *traceio.ProfileData) {
+			pd.Graph.Edges[0] = map[int32]uint64{nb: 1}
+		}, http.StatusBadRequest, "bad_profile"},
+		{"block count mismatch", func(pd *traceio.ProfileData) {
+			g := cfg.NewGraph(int(nb) - 1)
+			g.Sites = pd.Graph.Sites
+			pd.Graph = g
+		}, http.StatusBadRequest, "bad_profile"},
+		{"stale seed", func(pd *traceio.ProfileData) { pd.WorkloadSeed++ }, http.StatusUnprocessableEntity, "stale_profile"},
+		{"unknown app", func(pd *traceio.ProfileData) { pd.WorkloadName = "hhvm-prod" }, http.StatusNotFound, "unknown_app"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			pd, err := traceio.ReadProfile(bytes.NewReader(good.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.tamper(pd)
+			var body bytes.Buffer
+			if err := traceio.WriteProfile(&body, pd); err != nil {
+				t.Fatal(err)
+			}
+			req := httptest.NewRequest(http.MethodPost, "/v1/profile/analyze?instrs=60000", &body)
+			rec := httptest.NewRecorder()
+			s.Handler().ServeHTTP(rec, req)
+			msg, ok := structuredError(rec.Body.Bytes())
+			if rec.Code != c.status || !ok || !strings.HasPrefix(msg, c.code+":") {
+				t.Fatalf("status %d, body %s; want %d %s", rec.Code, rec.Body, c.status, c.code)
+			}
+		})
+	}
+}
+
+// TestRespondRecoversPanics: a panic in an analysis answers that request
+// with a structured 500, and the server keeps serving.
+func TestRespondRecoversPanics(t *testing.T) {
+	s := newTestServer(t, testConfig(t))
+	rec := httptest.NewRecorder()
+	status, timeout := s.respond(context.Background(), rec, func(context.Context) (*AnalyzeResponse, error) {
+		panic("analysis bug")
+	})
+	msg, ok := structuredError(rec.Body.Bytes())
+	if status != http.StatusInternalServerError || timeout || !ok || !strings.HasPrefix(msg, "internal:") {
+		t.Fatalf("panicking analysis answered %d (timeout %v): %s", status, timeout, rec.Body)
+	}
+	w := httptest.NewRecorder()
+	s.Handler().ServeHTTP(w, httptest.NewRequest(http.MethodGet, "/healthz", nil))
+	if w.Code != http.StatusOK {
+		t.Fatalf("healthz after a recovered panic = %d", w.Code)
 	}
 }
 

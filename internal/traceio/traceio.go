@@ -1,11 +1,16 @@
-// Package traceio persists the reproduction's artifacts — programs and
-// profiles — in a compact, deterministic binary format.
+// Package traceio owns every persisted format of the reproduction —
+// programs, miss profiles, injection plans, run statistics and scenario
+// traces — in a compact, deterministic binary encoding. Each format has one
+// encoder and one checked decoder here; the artifact cache, the analysis
+// server and ispy-profile all go through them.
 //
 // The paper's deployment model (Fig. 9) separates profile collection (in
 // production) from the offline analysis (at build time); the two sides
 // exchange serialized miss profiles. This package provides that interchange:
 // `ispy-profile` can write a profile once and the analysis can be re-run
-// against it without re-simulating.
+// against it without re-simulating. A profile is untrusted input, so
+// ProfileData.Bind checks its graph against the regenerated program before
+// the analysis sees it.
 //
 // Format: a small tag-length-value-free stream of varint-encoded integers
 // with section magics, version-checked on read. Floats are encoded as
@@ -16,6 +21,7 @@ package traceio
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -24,7 +30,9 @@ import (
 	"ispy/internal/cache"
 	"ispy/internal/cfg"
 	"ispy/internal/isa"
+	"ispy/internal/profile"
 	"ispy/internal/sim"
+	"ispy/internal/workload"
 )
 
 // Magic numbers and version for the container format.
@@ -275,6 +283,76 @@ type ProfileData struct {
 	BaseInstrs     uint64
 
 	Graph *cfg.Graph
+}
+
+// NewProfileData captures the serializable subset of a collected profile.
+func NewProfileData(p *profile.Profile) *ProfileData {
+	return &ProfileData{
+		WorkloadName:   p.Workload.Name,
+		WorkloadSeed:   p.Workload.Params.Seed,
+		InputName:      p.Input.Name,
+		InputSeed:      p.Input.Seed,
+		TotalMisses:    p.Graph.TotalMisses,
+		AvgHashDensity: p.AvgHashDensity,
+		BaseCycles:     p.Stats.Cycles,
+		BaseInstrs:     p.Stats.BaseInstrs,
+		Graph:          p.Graph,
+	}
+}
+
+// ErrStaleProfile marks a Bind failure of workload identity: the profile
+// was collected on another workload (name or generation seed) than the one
+// it is bound to.
+var ErrStaleProfile = errors.New("stale profile")
+
+// Bind rebinds pd to w, the workload it names, regenerated from its
+// deterministic parameters. The analysis indexes the program's blocks with
+// every block ID the graph holds, so a profile whose graph does not fit w's
+// program — the wrong block count, or a site, predecessor or edge target
+// out of range — is rejected here rather than reaching an index panic. The
+// bound profile's statistics are the summary pd carries.
+func (pd *ProfileData) Bind(w *workload.Workload) (*profile.Profile, error) {
+	if pd.WorkloadName != w.Name || pd.WorkloadSeed != w.Params.Seed {
+		return nil, fmt.Errorf("traceio: %w: collected on %s with seed %#x; %s now uses seed %#x",
+			ErrStaleProfile, pd.WorkloadName, pd.WorkloadSeed, w.Name, w.Params.Seed)
+	}
+	g, nb := pd.Graph, len(w.Prog.Blocks)
+	if g.NumBlocks != nb {
+		return nil, fmt.Errorf("traceio: profile graph has %d blocks; %s generates %d", g.NumBlocks, w.Name, nb)
+	}
+	// Count every out-of-range reference instead of stopping at the first:
+	// map order must not choose which one the error names.
+	var sites, preds, edges int
+	for _, m := range g.Edges {
+		for to := range m {
+			if to < 0 || int(to) >= nb {
+				edges++
+			}
+		}
+	}
+	for key, s := range g.Sites {
+		if key.Block < 0 || int(key.Block) >= nb {
+			sites++
+		}
+		for _, smp := range s.Samples {
+			for _, pe := range smp.Preds {
+				if pe.Block < 0 || int(pe.Block) >= nb {
+					preds++
+				}
+			}
+		}
+	}
+	if sites+preds+edges > 0 {
+		return nil, fmt.Errorf("traceio: profile graph references blocks outside %s's %d: %d sites, %d predecessors, %d edge targets",
+			w.Name, nb, sites, preds, edges)
+	}
+	return &profile.Profile{
+		Graph:          g,
+		AvgHashDensity: pd.AvgHashDensity,
+		Stats:          &sim.Stats{Cycles: pd.BaseCycles, BaseInstrs: pd.BaseInstrs, L1IMisses: pd.TotalMisses},
+		Workload:       w,
+		Input:          workload.Input{Name: pd.InputName, Seed: pd.InputSeed},
+	}, nil
 }
 
 // WriteProfile serializes a profile.

@@ -83,17 +83,7 @@ func TestProfileRoundTrip(t *testing.T) {
 	scfg.MaxInstrs = 150_000
 	scfg.WarmupInstrs = 40_000
 	prof := profile.Collect(w, workload.DefaultInput(w), scfg)
-	pd := &ProfileData{
-		WorkloadName:   w.Name,
-		WorkloadSeed:   w.Params.Seed,
-		InputName:      prof.Input.Name,
-		InputSeed:      prof.Input.Seed,
-		TotalMisses:    prof.Graph.TotalMisses,
-		AvgHashDensity: prof.AvgHashDensity,
-		BaseCycles:     prof.Stats.Cycles,
-		BaseInstrs:     prof.Stats.BaseInstrs,
-		Graph:          prof.Graph,
-	}
+	pd := NewProfileData(prof)
 	var buf bytes.Buffer
 	if err := WriteProfile(&buf, pd); err != nil {
 		t.Fatal(err)
@@ -121,6 +111,14 @@ func TestProfileRoundTrip(t *testing.T) {
 		if got.Graph.Exec[i] != prof.Graph.Exec[i] {
 			t.Fatal("exec counts corrupted")
 		}
+	}
+	bound, err := got.Bind(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bound.Workload != w || bound.Input.Name != prof.Input.Name || bound.Input.Seed != prof.Input.Seed ||
+		bound.Stats.Cycles != prof.Stats.Cycles || bound.Stats.BaseInstrs != prof.Stats.BaseInstrs {
+		t.Error("bound profile lost its identity or summary")
 	}
 }
 
