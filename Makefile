@@ -49,13 +49,15 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Short continuous-fuzzing passes over the artifact decoders and the
-# context-discovery fast path (differential against its frozen reference);
+# Short continuous-fuzzing passes over the artifact decoders, the
+# context-discovery fast path (differential against its frozen reference)
+# and the scenario grammar (Material must parse back to the same spec);
 # regressions land in each package's testdata/fuzz and replay as ordinary
 # tests forever after.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecode -fuzztime=5s ./internal/traceio
 	$(GO) test -run=NONE -fuzz='^FuzzDiscoverContext$$' -fuzztime=5s ./internal/core
+	$(GO) test -run=NONE -fuzz='^FuzzParseSpec$$' -fuzztime=5s ./internal/traffic
 
 # End-to-end fault-injection smoke: an injected panic must degrade the run
 # (exit 1 with a report), not crash it.

@@ -33,18 +33,29 @@ func main() {
 	if len(args) > 0 {
 		apps = args
 	}
+	var run func(workload.Params)
 	switch cmd {
 	case "compare":
-		for _, name := range apps {
-			compare(name)
-		}
+		run = compare
 	case "residual":
-		for _, name := range apps {
-			residual(name)
-		}
+		run = residual
 	default:
 		fmt.Fprintf(os.Stderr, "usage: ispy-diag {compare|residual} [app...]\n")
 		os.Exit(2)
+	}
+	// Resolve every name before any work starts: an unknown app fails the
+	// command with one line naming the valid presets.
+	params := make([]workload.Params, len(apps))
+	for i, name := range apps {
+		p, err := workload.LookupParams(name)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "ispy-diag: %v\n", err)
+			os.Exit(1)
+		}
+		params[i] = p
+	}
+	for _, p := range params {
+		run(p)
 	}
 }
 
@@ -52,8 +63,8 @@ func runProg(w *workload.Workload, prog *isa.Program, cfg sim.Config) *sim.Stats
 	return sim.Run(prog, workload.NewExecutor(w, workload.DefaultInput(w)), cfg, nil)
 }
 
-func compare(name string) {
-	w := workload.Preset(name)
+func compare(p workload.Params) {
+	w := workload.Generate(p)
 	cfg := sim.Default().WithWorkloadCPI(w.Params.BackendCPI)
 
 	t0 := time.Now()
@@ -74,7 +85,7 @@ func compare(name string) {
 	}
 	kc := ispy.Plan.KindCounts()
 	fmt.Printf("%-16s ideal=%5.1f%% asmdb=%5.1f%%(%4.0f%%id acc=%4.1f%% dyn=%4.1f%% mpki=%5.2f) ispy=%5.1f%%(%4.0f%%id acc=%4.1f%% dyn=%4.1f%% mpki=%5.2f fp=%4.1f%%) baseMPKI=%5.2f kinds=[P%d C%d L%d CL%d] stat=%.1f%%/%.1f%% [%.1fs]\n",
-		name, sp(ideal),
+		p.Name, sp(ideal),
 		sp(adbStats), pctIdeal(adbStats), adbStats.PrefetchAccuracy()*100, adbStats.DynFootprintIncrease()*100, adbStats.MPKI(),
 		sp(ispyStats), pctIdeal(ispyStats), ispyStats.PrefetchAccuracy()*100, ispyStats.DynFootprintIncrease()*100, ispyStats.MPKI(),
 		ispyStats.CondFalsePositiveRate()*100,

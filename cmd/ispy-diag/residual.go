@@ -17,12 +17,12 @@ import (
 	"ispy/internal/workload"
 )
 
-func residual(name string) {
-	w := workload.Preset(name)
+func residual(p workload.Params) {
+	w := workload.Generate(p)
 	scfg := sim.Default().WithWorkloadCPI(w.Params.BackendCPI)
 	prof := profile.Collect(w, workload.DefaultInput(w), scfg)
 	ispy := core.BuildISPY(prof, scfg, core.DefaultOptions())
-	fmt.Printf("%s: hash density %.3f\n", name, prof.AvgHashDensity)
+	fmt.Printf("%s: hash density %.3f\n", p.Name, prof.AvgHashDensity)
 
 	planned := make(map[cfg.LineKey]bool)
 	for _, pf := range ispy.Plan.Prefetches {

@@ -472,3 +472,19 @@ func (c *Cache) LoadBuild(ctx context.Context, k *Key) (*core.Build, bool) {
 	}
 	return &core.Build{Prog: prog, Plan: plan}, true
 }
+
+// LoadPlan returns the plan of the cached build for k, if valid. It reads
+// and verifies the same entry LoadBuild does (a corrupt one is evicted) but
+// decodes only the plan section: a caller that reports the plan never pays
+// for decoding the injected program.
+func (c *Cache) LoadPlan(ctx context.Context, k *Key) (*core.Plan, bool) {
+	sections := c.readEntry(ctx, k)
+	if len(sections) != 2 {
+		return nil, false
+	}
+	plan, err := traceio.ReadPlan(bytes.NewReader(sections[1]))
+	if err != nil {
+		return nil, false
+	}
+	return plan, true
+}

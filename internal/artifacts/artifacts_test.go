@@ -4,6 +4,7 @@ import (
 	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ispy/internal/core"
@@ -244,5 +245,77 @@ func TestNilCacheIsBypass(t *testing.T) {
 func TestOpenRejectsEmptyDir(t *testing.T) {
 	if _, err := Open(""); err == nil {
 		t.Error("Open(\"\") succeeded")
+	}
+}
+
+// storedBuild stores a small-budget I-SPY build of app in c and returns its
+// key.
+func storedBuild(t *testing.T, c *Cache, app string) *Key {
+	t.Helper()
+	w := workload.Preset(app)
+	in := workload.DefaultInput(w)
+	cfg := sim.Default().WithWorkloadCPI(w.Params.BackendCPI)
+	cfg.MaxInstrs = 60_000
+	cfg.WarmupInstrs = 10_000
+	b := core.BuildISPY(profile.Collect(w, in, cfg), cfg, core.DefaultOptions())
+	k := NewKey("ispy-build", w.Name).Params(w.Params).SimConfig(cfg).Options(core.DefaultOptions())
+	c.StoreBuild(context.Background(), k, b)
+	return k
+}
+
+// TestLoadPlanMatchesLoadBuild pins the plan-only read to the full one: for
+// every preset, LoadPlan decodes exactly the plan LoadBuild does.
+func TestLoadPlanMatchesLoadBuild(t *testing.T) {
+	c := testCache(t)
+	for _, app := range workload.AppNames {
+		k := storedBuild(t, c, app)
+		plan, ok := c.LoadPlan(context.Background(), k)
+		if !ok {
+			t.Fatalf("%s: stored plan not found", app)
+		}
+		b, ok := c.LoadBuild(context.Background(), k)
+		if !ok {
+			t.Fatalf("%s: stored build not found", app)
+		}
+		if len(plan.Prefetches) == 0 {
+			t.Fatalf("%s: the build planned no prefetches; the comparison is vacuous", app)
+		}
+		if !reflect.DeepEqual(plan, b.Plan) {
+			t.Errorf("%s: LoadPlan = %+v, LoadBuild(...).Plan = %+v", app, plan, b.Plan)
+		}
+	}
+}
+
+// TestCorruptBuildIsMissAndEviction: a bit-flipped build entry is a miss and
+// an eviction for LoadPlan exactly as for LoadBuild. LoadPlan decodes only
+// the plan section; the whole-entry checksum is what catches the flip.
+func TestCorruptBuildIsMissAndEviction(t *testing.T) {
+	loaders := map[string]func(*Cache, *Key) bool{
+		"LoadBuild": func(c *Cache, k *Key) bool { _, ok := c.LoadBuild(context.Background(), k); return ok },
+		"LoadPlan":  func(c *Cache, k *Key) bool { _, ok := c.LoadPlan(context.Background(), k); return ok },
+	}
+	c := testCache(t)
+	k := storedBuild(t, c, "tomcat")
+	path := filepath.Join(c.Dir(), k.Filename())
+	orig, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var evicted []string
+	c.OnEvict(func(kind string) { evicted = append(evicted, kind) })
+	for name, load := range loaders {
+		evicted = nil
+		if err := os.WriteFile(path, flipByte(orig, len(orig)/2), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if load(c, k) {
+			t.Errorf("%s served a bit-flipped entry as a hit", name)
+		}
+		if len(evicted) != 1 || evicted[0] != "ispy-build" {
+			t.Errorf("%s: evictions = %q, want one ispy-build", name, evicted)
+		}
+		if _, err := os.Stat(path); !os.IsNotExist(err) {
+			t.Errorf("%s left the corrupt entry on disk (stat: %v)", name, err)
+		}
 	}
 }

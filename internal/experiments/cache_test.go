@@ -3,6 +3,7 @@ package experiments
 import (
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ispy/internal/core"
@@ -124,5 +125,44 @@ func TestValidateSurfacesCacheError(t *testing.T) {
 	l := NewLab(Config{Apps: []string{"tomcat"}, CacheDir: filepath.Join(f, "sub")})
 	if err := l.Validate(); err == nil {
 		t.Error("unusable cache dir accepted")
+	}
+}
+
+// TestISPYPlanOnWarmCacheNeedsOnlyParams: a cold ISPYPlan looks the build
+// up once (a miss computes it without a second read); a warm one serves
+// the plan and the app's evaluation run from the cache without ever
+// generating the workload; without a cache it is ISPY's plan.
+func TestISPYPlanOnWarmCacheNeedsOnlyParams(t *testing.T) {
+	dir := t.TempDir()
+	cold := NewLab(cacheCfg(dir))
+	a := cold.App("tomcat")
+	plan, st := a.ISPYPlan(), a.ISPYStats()
+	if plan != a.ISPY().Plan {
+		t.Error("cold ISPYPlan is not the plan of the build it computed")
+	}
+	// ispy-build, profile and ispy-run: one miss each.
+	if h, m := cold.Telemetry().Hits(), cold.Telemetry().Misses(); h != 0 || m != 3 {
+		t.Errorf("cold ISPYPlan+ISPYStats: %d hits, %d misses; want 0 and 3", h, m)
+	}
+
+	warm := NewLab(cacheCfg(dir))
+	b := warm.App("tomcat")
+	got := b.ISPYPlan()
+	if b.ISPYStats().Cycles != st.Cycles {
+		t.Error("warm ISPYStats differs from the cold one")
+	}
+	if h, m := warm.Telemetry().Hits(), warm.Telemetry().Misses(); h != 2 || m != 0 {
+		t.Errorf("warm ISPYPlan+ISPYStats: %d hits, %d misses; want 2 and 0", h, m)
+	}
+	if b.w.v != nil {
+		t.Error("a warm ISPYPlan generated the workload")
+	}
+	if !reflect.DeepEqual(got, b.ISPY().Plan) {
+		t.Error("warm ISPYPlan differs from the cached build's plan")
+	}
+
+	cfg := cacheCfg("")
+	if got := NewLab(cfg).App("tomcat").ISPYPlan(); !reflect.DeepEqual(got, a.ISPY().Plan) {
+		t.Error("cache-less ISPYPlan differs from ISPY().Plan")
 	}
 }

@@ -22,8 +22,8 @@ import (
 // shares: the workload generation parameters and the profiled input.
 func (a *App) key(kind string) *artifacts.Key {
 	return artifacts.NewKey(kind, a.Name).
-		Params(a.W.Params).
-		Input(workload.DefaultInput(a.W))
+		Params(a.Params).
+		Input(a.Params.DefaultInput())
 }
 
 // A format is how one artifact type is read from and written to the cache.
@@ -49,19 +49,35 @@ func profileFormat(w *workload.Workload, in workload.Input) format[*profile.Prof
 
 // cached loads the artifact for k in format f or computes (and stores) it.
 func cached[T any](l *Lab, f format[T], k *artifacts.Key, compute func() T) T {
-	kind := k.Kind()
-	compute = faulted(l, k, compute)
-	if !l.cache.Enabled() {
-		l.tel.CacheBypass(kind)
-		return timed(l, kind, compute)
-	}
-	if v, ok := f.load(l.cache, l.ctx, k); ok {
-		l.tel.CacheHit(kind)
-		l.tel.Progressf("hit      %s", k.Filename())
+	if v, ok := lookup(l, f.load, k); ok {
 		return v
 	}
-	l.tel.CacheMiss(kind)
-	v := timed(l, kind, compute)
+	return computed(l, f, k, compute)
+}
+
+// lookup is cached's read half: it loads k (when the cache is enabled) and
+// counts the lookup as one bypass, hit or miss.
+func lookup[T any](l *Lab, load func(*artifacts.Cache, context.Context, *artifacts.Key) (T, bool), k *artifacts.Key) (T, bool) {
+	if !l.cache.Enabled() {
+		l.tel.CacheBypass(k.Kind())
+		var zero T
+		return zero, false
+	}
+	v, ok := load(l.cache, l.ctx, k)
+	if ok {
+		l.tel.CacheHit(k.Kind())
+		l.tel.Progressf("hit      %s", k.Filename())
+	} else {
+		l.tel.CacheMiss(k.Kind())
+	}
+	return v, ok
+}
+
+// computed is cached's write half, run after a lookup that found nothing:
+// it computes the artifact for k and stores it in format f (a no-op
+// without a cache).
+func computed[T any](l *Lab, f format[T], k *artifacts.Key, compute func() T) T {
+	v := timed(l, k.Kind(), faulted(l, k, compute))
 	f.store(l.cache, l.ctx, k, v)
 	return v
 }
@@ -158,6 +174,6 @@ func (a *App) AsmDBAt(threshold float64) (*core.Build, *sim.Stats) {
 // for the default I-SPY build run on drifted inputs); cfg and in are folded
 // in full, including any profile-derived prefetch mask.
 func (a *App) RunCachedInput(kind string, prog *isa.Program, cfg sim.Config, in workload.Input) *sim.Stats {
-	k := artifacts.NewKey(kind, a.Name).Params(a.W.Params).SimConfig(cfg).Input(in)
+	k := artifacts.NewKey(kind, a.Name).Params(a.Params).SimConfig(cfg).Input(in)
 	return cached(a.lab, statsFormat, k, func() *sim.Stats { return a.RunInput(prog, cfg, in) })
 }

@@ -287,7 +287,7 @@ func runFig21(l *Lab) *Result {
 				opt.HashBits = bits
 				b, st := a.ISPYVariant(opt, a.SweepCfg())
 				cells[i].fp = st.CondFalsePositiveRate() * 100
-				cells[i].static = b.StaticIncrease(a.W.Prog) * 100
+				cells[i].static = b.StaticIncrease(a.W().Prog) * 100
 				return nil
 			})
 			return nil

@@ -317,18 +317,23 @@ func (m *memo[T]) get(f func() T) T {
 }
 
 // App bundles one application's memoized artifacts. All getters are safe for
-// concurrent use; independent artifacts compute concurrently.
+// concurrent use; independent artifacts compute concurrently. Every
+// artifact key derives from Params alone, so serving a cache hit never
+// generates the workload (see W) — except a profile's, which binds to the
+// program.
 type App struct {
-	Name string
-	W    *workload.Workload
-	lab  *Lab
+	Name   string
+	Params workload.Params
+	lab    *Lab
 
+	w         memo[*workload.Workload]
 	base      memo[*sim.Stats]
 	ideal     memo[*sim.Stats]
 	prof      memo[*profile.Profile]
 	asmdbB    memo[*core.Build]
 	asmdbStat memo[*sim.Stats]
 	ispyB     memo[*core.Build]
+	ispyPlan  memo[*core.Plan]
 	ispyStat  memo[*sim.Stats]
 	prepared  memo[*core.Prepared]
 }
@@ -339,10 +344,16 @@ func (l *Lab) App(name string) *App {
 	defer l.mu.Unlock()
 	a := l.apps[name]
 	if a == nil {
-		a = &App{Name: name, W: workload.Preset(name), lab: l}
+		a = &App{Name: name, Params: workload.PresetParams(name), lab: l}
 		l.apps[name] = a
 	}
 	return a
+}
+
+// W returns the app's workload, generating it on first use: only a
+// computation that runs the program or walks its flow needs it.
+func (a *App) W() *workload.Workload {
+	return a.w.get(func() *workload.Workload { return workload.Generate(a.Params) })
 }
 
 // Apps returns the lab's applications in configuration order.
@@ -371,7 +382,7 @@ func (l *Lab) ForEachApp(stage string, f func(*App) error) {
 
 // SimCfg returns the headline simulator configuration for this app.
 func (a *App) SimCfg() sim.Config {
-	c := sim.Default().WithWorkloadCPI(a.W.Params.BackendCPI)
+	c := sim.Default().WithWorkloadCPI(a.Params.BackendCPI)
 	c.MaxInstrs = a.lab.Cfg.MeasureInstrs
 	c.WarmupInstrs = a.lab.Cfg.WarmupInstrs
 	return c
@@ -387,12 +398,12 @@ func (a *App) SweepCfg() sim.Config {
 
 // Run simulates prog under cfg with the app's default (profiled) input.
 func (a *App) Run(prog *isa.Program, cfg sim.Config) *sim.Stats {
-	return a.RunInput(prog, cfg, workload.DefaultInput(a.W))
+	return a.RunInput(prog, cfg, a.Params.DefaultInput())
 }
 
 // RunInput simulates prog under cfg with an explicit input.
 func (a *App) RunInput(prog *isa.Program, cfg sim.Config, in workload.Input) *sim.Stats {
-	return sim.Run(prog, workload.NewExecutor(a.W, in), cfg, nil)
+	return sim.Run(prog, workload.NewExecutor(a.W(), in), cfg, nil)
 }
 
 // Base returns the no-prefetching baseline run.
@@ -400,7 +411,7 @@ func (a *App) Base() *sim.Stats {
 	return a.base.get(func() *sim.Stats {
 		cfg := a.SimCfg()
 		return cached(a.lab, statsFormat, a.key("base").SimConfig(cfg), func() *sim.Stats {
-			return a.Run(a.W.Prog, cfg)
+			return a.Run(a.W().Prog, cfg)
 		})
 	})
 }
@@ -411,7 +422,7 @@ func (a *App) Ideal() *sim.Stats {
 		cfg := a.SimCfg()
 		cfg.Ideal = true
 		return cached(a.lab, statsFormat, a.key("ideal").SimConfig(cfg), func() *sim.Stats {
-			return a.Run(a.W.Prog, cfg)
+			return a.Run(a.W().Prog, cfg)
 		})
 	})
 }
@@ -420,9 +431,9 @@ func (a *App) Ideal() *sim.Stats {
 func (a *App) Profile() *profile.Profile {
 	return a.prof.get(func() *profile.Profile {
 		cfg := a.SimCfg()
-		in := workload.DefaultInput(a.W)
-		return cached(a.lab, profileFormat(a.W, in), a.key("profile").SimConfig(cfg), func() *profile.Profile {
-			return profile.Collect(a.W, in, cfg)
+		in := a.Params.DefaultInput()
+		return cached(a.lab, profileFormat(a.W(), in), a.key("profile").SimConfig(cfg), func() *profile.Profile {
+			return profile.Collect(a.W(), in, cfg)
 		})
 	})
 }
@@ -464,11 +475,32 @@ func (a *App) Prepared() *core.Prepared {
 // ISPY returns the full I-SPY build at default options.
 func (a *App) ISPY() *core.Build {
 	return a.ispyB.get(func() *core.Build {
-		k := a.key("ispy-build").SimConfig(a.SimCfg()).Options(core.DefaultOptions())
-		return cached(a.lab, buildFormat, k, func() *core.Build {
-			return core.BuildFromPrepared(a.Profile(), a.Prepared(), core.DefaultOptions())
-		})
+		return cached(a.lab, buildFormat, a.ispyKey(), a.buildISPY)
 	})
+}
+
+// ISPYPlan returns the injection plan of the default I-SPY build. A cache
+// hit reads the plan section of the cached build and never decodes its
+// program; a miss computes (and stores) the whole build once, without a
+// second lookup.
+func (a *App) ISPYPlan() *core.Plan {
+	return a.ispyPlan.get(func() *core.Plan {
+		k := a.ispyKey()
+		if p, ok := lookup(a.lab, (*artifacts.Cache).LoadPlan, k); ok {
+			return p
+		}
+		return a.ispyB.get(func() *core.Build {
+			return computed(a.lab, buildFormat, k, a.buildISPY)
+		}).Plan
+	})
+}
+
+func (a *App) ispyKey() *artifacts.Key {
+	return a.key("ispy-build").SimConfig(a.SimCfg()).Options(core.DefaultOptions())
+}
+
+func (a *App) buildISPY() *core.Build {
+	return core.BuildFromPrepared(a.Profile(), a.Prepared(), core.DefaultOptions())
 }
 
 // ISPYStats returns the I-SPY evaluation run.

@@ -25,7 +25,6 @@ import (
 	"ispy/internal/sim"
 	"ispy/internal/traceio"
 	"ispy/internal/traffic"
-	"ispy/internal/workload"
 )
 
 // ScenarioResult bundles one scenario's baseline and I-SPY evaluations.
@@ -100,7 +99,7 @@ func (l *Lab) runScenario(spec *traffic.Spec, tr *traceio.ScenarioTrace) (*Scena
 	apps := spec.Apps()
 	for _, name := range apps {
 		a := l.App(name)
-		ispyKey = ispyKey.Str(name).Params(a.W.Params).Input(workload.DefaultInput(a.W)).
+		ispyKey = ispyKey.Str(name).Params(a.Params).Input(a.Params.DefaultInput()).
 			SimConfig(a.SimCfg()).Options(core.DefaultOptions())
 	}
 	ispy := cached(l, scenarioFormat, ispyKey, func() scenarioRun {

@@ -5,6 +5,8 @@
 // sequence independent of Go version and to allow very cheap value types.
 package rng
 
+import "math"
+
 // SplitMix64 advances the SplitMix64 state and returns the next value. It is
 // used to derive independent child seeds from a parent seed.
 func SplitMix64(state *uint64) uint64 {
@@ -166,6 +168,9 @@ func Ln(x float64) float64 {
 	if x <= 0 {
 		panic("rng: Ln domain")
 	}
+	if math.IsInf(x, 1) {
+		return x // halving would never bring it into range
+	}
 	// Normalize x into [0.5, 2) collecting powers of 2.
 	k := 0
 	for x >= 2 {
@@ -190,6 +195,12 @@ func Ln(x float64) float64 {
 
 // Exp computes e^x by scaling and Taylor series; bit-exact like Ln.
 func Exp(x float64) float64 {
+	if math.IsInf(x, 0) { // halving would never bring it into range
+		if x > 0 {
+			return x
+		}
+		return 0
+	}
 	neg := x < 0
 	if neg {
 		x = -x

@@ -215,6 +215,15 @@ func TestMathHelpersAgainstStdlib(t *testing.T) {
 			t.Errorf("Exp(%v) off by %v", x, rel)
 		}
 	}
+	// Infinite arguments used to loop forever in the range reduction; a
+	// steep scenario zipf= skew reaches them through powF.
+	if Exp(math.Inf(1)) != math.Inf(1) || Exp(math.Inf(-1)) != 0 || Ln(math.Inf(1)) != math.Inf(1) {
+		t.Errorf("Exp(±Inf), Ln(+Inf) = %v, %v, %v; want +Inf, 0, +Inf",
+			Exp(math.Inf(1)), Exp(math.Inf(-1)), Ln(math.Inf(1)))
+	}
+	if w := ZipfWeights(3, math.MaxFloat64); w[2] != 0 {
+		t.Errorf("ZipfWeights(3, MaxFloat64)[2] = %v, want 0", w[2])
+	}
 	for _, c := range []struct{ b, e float64 }{{2, 3}, {1.5, 0.85}, {10, 1.2}, {3, 0}} {
 		want := math.Pow(c.b, c.e)
 		if rel := math.Abs(powF(c.b, c.e)-want) / want; rel > 1e-8 {

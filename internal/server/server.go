@@ -224,8 +224,8 @@ func (s *Server) analyzeApp(ctx context.Context, app string, instrs uint64) (*An
 	return s.retried(ctx, s.labConfig([]string{app}, instrs), app, "serve/analyze", "serve/"+app, app,
 		func(lab *experiments.Lab) (*AnalyzeResponse, error) {
 			a := lab.App(app)
-			base, build, ispy := a.Base(), a.ISPY(), a.ISPYStats()
-			return newAnalyzeResponse(app, lab.Cfg.MeasureInstrs, base, ispy, build.Plan), nil
+			base, plan, ispy := a.Base(), a.ISPYPlan(), a.ISPYStats()
+			return newAnalyzeResponse(app, lab.Cfg.MeasureInstrs, base, ispy, plan), nil
 		})
 }
 

@@ -46,7 +46,7 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-func analyze(t *testing.T, s *Server, body string) *httptest.ResponseRecorder {
+func analyze(t testing.TB, s *Server, body string) *httptest.ResponseRecorder {
 	t.Helper()
 	req := httptest.NewRequest(http.MethodPost, "/v1/analyze", strings.NewReader(body))
 	req.Header.Set("Content-Type", "application/json")

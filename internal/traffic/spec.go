@@ -31,6 +31,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -48,6 +49,9 @@ const (
 // DefaultRequests is the number of requests composed when a spec does not
 // say `requests=`.
 const DefaultRequests = 256
+
+// maxTenants caps a scenario's population.
+const maxTenants = 256
 
 // TenantSpec describes one tenant before normalization. Zero values mean
 // "derive": Weight 0 becomes 1 (or the tenant's Zipf share when the spec
@@ -82,7 +86,11 @@ type Spec struct {
 //	        | "arrival=" ("poisson" | "gamma:" shape | "weibull:" shape)
 //	        | "day=" mult ("," mult)* | "zipf=" skew
 //	        | "tenants=" tenant ("," tenant)*
-//	tenant  = app ["*" count] (":" key "=" value)*   key ∈ {weight, slo, seed}
+//	tenant  = app ["*" count] (":" key "=" value)*   key ∈ {weight, slo, seed, name}
+//	        | name ":" app ":" slo (":" key "=" value)*  (the canonical form)
+//
+// Keys w and s abbreviate weight and seed. Material renders a spec in the
+// canonical tenant form, which ParseSpec reads back to the same spec.
 //
 // Example:
 //
@@ -133,15 +141,15 @@ func ParseSpec(s string) (*Spec, error) {
 		case "day":
 			spec.Phases = spec.Phases[:0]
 			for _, p := range strings.Split(val, ",") {
-				m, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-				if err != nil || m <= 0 {
+				m, ok := positive(strings.TrimSpace(p))
+				if !ok {
 					return nil, fmt.Errorf("traffic: bad day multiplier %q (want a positive number)", p)
 				}
 				spec.Phases = append(spec.Phases, m)
 			}
 		case "zipf":
 			z, err := strconv.ParseFloat(val, 64)
-			if err != nil || z < 0 {
+			if err != nil || !(z >= 0) || math.IsInf(z, 1) {
 				return nil, fmt.Errorf("traffic: bad zipf skew %q (want a non-negative number)", val)
 			}
 			spec.ZipfSkew = z
@@ -163,7 +171,7 @@ func parseArrival(spec *Spec, val string) error {
 	kind, shape, hasShape := strings.Cut(val, ":")
 	switch kind {
 	case ArrivalPoisson:
-		if hasShape {
+		if hasShape && shape != "0" { // Material renders poisson as poisson:0
 			return fmt.Errorf("traffic: poisson arrivals take no shape parameter")
 		}
 		spec.Arrival, spec.ArrivalShape = ArrivalPoisson, 0
@@ -171,8 +179,8 @@ func parseArrival(spec *Spec, val string) error {
 	case ArrivalGamma, ArrivalWeibull:
 		sh := 1.0
 		if hasShape {
-			v, err := strconv.ParseFloat(shape, 64)
-			if err != nil || v <= 0 {
+			v, ok := positive(shape)
+			if !ok {
 				return fmt.Errorf("traffic: bad %s shape %q (want a positive number)", kind, shape)
 			}
 			sh = v
@@ -191,40 +199,54 @@ func parseTenants(spec *Spec, val string) error {
 			continue
 		}
 		parts := strings.Split(ent, ":")
-		head := parts[0]
-		app, count := head, 1
-		if a, c, ok := strings.Cut(head, "*"); ok {
-			n, err := strconv.Atoi(c)
-			if err != nil || n <= 0 {
-				return fmt.Errorf("traffic: bad tenant count in %q (want app*N with positive N)", head)
-			}
-			app, count = a, n
+		for i := range parts {
+			parts[i] = strings.TrimSpace(parts[i])
 		}
-		ts := TenantSpec{App: app}
-		for _, opt := range parts[1:] {
+		var ts TenantSpec
+		count := 1
+		opts := parts[1:]
+		if len(parts) >= 3 && !strings.Contains(parts[1], "=") {
+			// The canonical form: name:app:slo, then options.
+			ts = TenantSpec{Name: parts[0], App: parts[1], SLO: parts[2]}
+			opts = parts[3:]
+		} else {
+			ts.App = parts[0]
+			if a, c, ok := strings.Cut(parts[0], "*"); ok {
+				n, err := strconv.Atoi(c)
+				if err != nil || n <= 0 {
+					return fmt.Errorf("traffic: bad tenant count in %q (want app*N with positive N)", parts[0])
+				}
+				ts.App, count = a, n
+			}
+		}
+		if len(spec.Tenants)+count > maxTenants {
+			return fmt.Errorf("traffic: more than %d tenants", maxTenants)
+		}
+		for _, opt := range opts {
 			k, v, ok := strings.Cut(opt, "=")
 			if !ok {
 				return fmt.Errorf("traffic: tenant option %q is not key=value", opt)
 			}
+			k, v = strings.TrimSpace(k), strings.TrimSpace(v)
 			switch k {
-			case "weight":
-				w, err := strconv.ParseFloat(v, 64)
-				if err != nil || w <= 0 {
-					return fmt.Errorf("traffic: tenant %q: bad weight %q (want a positive number)", app, v)
+			case "weight", "w":
+				w, ok := positive(v)
+				if !ok {
+					return fmt.Errorf("traffic: tenant %q: bad weight %q (want a positive number)", ts.App, v)
 				}
 				ts.Weight = w
 			case "slo":
 				ts.SLO = v
-			case "seed":
+			case "seed", "s":
 				n, err := strconv.ParseUint(v, 0, 64)
 				if err != nil {
-					return fmt.Errorf("traffic: tenant %q: bad seed %q: %v", app, v, err)
+					return fmt.Errorf("traffic: tenant %q: bad seed %q: %v", ts.App, v, err)
 				}
 				ts.Seed = n
 			case "name":
 				ts.Name = v
 			default:
-				return fmt.Errorf("traffic: tenant %q: unknown option %q (valid: weight, slo, seed, name)", app, k)
+				return fmt.Errorf("traffic: tenant %q: unknown option %q (valid: weight, slo, seed, name)", ts.App, k)
 			}
 		}
 		for i := 0; i < count; i++ {
@@ -234,6 +256,12 @@ func parseTenants(spec *Spec, val string) error {
 	return nil
 }
 
+// positive parses a finite number greater than zero.
+func positive(s string) (float64, bool) {
+	v, err := strconv.ParseFloat(s, 64)
+	return v, err == nil && v > 0 && !math.IsInf(v, 1)
+}
+
 // normalize validates the tenant population and fills every derived field,
 // making the spec canonical: two specs that normalize equal compose equal
 // traces.
@@ -241,8 +269,8 @@ func (s *Spec) normalize() error {
 	if len(s.Tenants) == 0 {
 		return fmt.Errorf("traffic: scenario has no tenants (add a tenants= clause)")
 	}
-	if len(s.Tenants) > 256 {
-		return fmt.Errorf("traffic: %d tenants exceeds the 256-tenant cap", len(s.Tenants))
+	if len(s.Tenants) > maxTenants {
+		return fmt.Errorf("traffic: %d tenants exceeds the %d-tenant cap", len(s.Tenants), maxTenants)
 	}
 	if s.Name == "" {
 		s.Name = "scenario"
@@ -303,6 +331,9 @@ func (s *Spec) normalize() error {
 			} else {
 				s.Tenants[i].Weight = 1
 			}
+		}
+		if w := s.Tenants[i].Weight; !(w > 0) {
+			return fmt.Errorf("traffic: tenant %q: weight %g is not positive", s.Tenants[i].Name, w)
 		}
 	}
 

@@ -91,6 +91,17 @@ func TestParseSpecErrors(t *testing.T) {
 		"tenants=kafka:weight=0",
 		"tenants=kafka:bogus=1",
 		"tenants=kafka:name=a,tomcat:name=a", // duplicate explicit names
+		// Non-finite numbers, populations past the cap (rejected before
+		// they are allocated), and a skew that leaves a tenant no weight.
+		"day=1,NaN;tenants=kafka",
+		"arrival=gamma:+Inf;tenants=kafka",
+		"tenants=kafka:weight=NaN",
+		"tenants=kafka:weight=Inf",
+		"zipf=Inf;tenants=kafka",
+		"tenants=wordpress*257",
+		"tenants=wordpress*100000000",
+		"zipf=1e300;tenants=kafka,tomcat",
+		"zipf=1.7976931348623157e308;tenants=kafka,tomcat,wordpress",
 	} {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)

@@ -22,8 +22,13 @@ type Input struct {
 }
 
 // DefaultInput returns the input the profiling run uses.
-func DefaultInput(w *Workload) Input {
-	return Input{Name: "profiled", Seed: w.Params.Seed ^ 0xdeadbeefcafe}
+func DefaultInput(w *Workload) Input { return w.Params.DefaultInput() }
+
+// DefaultInput returns the input the profiling run of the workload
+// generated from p uses. It needs only the parameters, so artifact keys can
+// be derived without generating the program.
+func (p Params) DefaultInput() Input {
+	return Input{Name: "profiled", Seed: p.Seed ^ 0xdeadbeefcafe}
 }
 
 // DriftedInputs returns n test inputs that progressively diverge from the

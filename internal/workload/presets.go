@@ -63,7 +63,10 @@ func AllPresets() []*Workload {
 	return ws
 }
 
-var presets = map[string]Params{
+// presets holds each preset's parameters with setDefaults already applied,
+// so PresetParams(n) equals Generate(PresetParams(n)).Params: artifact keys
+// derived from the table match keys derived from a generated workload.
+var presets = normalized(map[string]Params{
 	// Cassandra: NoSQL storage; JVM service with a moderate request mix and
 	// heavy data-side work (higher backend CPI).
 	"cassandra": {
@@ -173,4 +176,13 @@ var presets = map[string]Params{
 		EngineSlots: 10, EngineSlotProb: 0.65, EngineBlocks: 2, FragmentBlocks: 5,
 		BackendCPI: 0.38,
 	},
+})
+
+func normalized(ps map[string]Params) map[string]Params {
+	for _, n := range AppNames {
+		p := ps[n]
+		p.setDefaults()
+		ps[n] = p
+	}
+	return ps
 }
